@@ -1,6 +1,7 @@
 """Command-line front end: check, solve, from-points, verify, matrices.
 
-Exit codes: 0 success, 1 criterion or accuracy failure, 2 input error.
+Exit codes: 0 success, 1 criterion or accuracy failure (including an
+eigensolver that fails to converge), 2 input error.
 Config precedence: command-line flags, then BORDER_EIG_* environment
 variables, then built-in defaults.  Output is deterministic for identical
 inputs and config.
@@ -15,7 +16,7 @@ import sys as _sys
 
 import numpy as np
 
-from .errors import BorderEigError, SchemaError, UnisolvenceError
+from .errors import BorderEigError, EigenConvergenceError, SchemaError, UnisolvenceError
 from .indexsets import index_set_from_json
 from .interp import parse_nodes, poisedness, system_from_nodes
 from .matrices import build_family
@@ -74,9 +75,10 @@ def _emit(obj, fmt, lines=None):
             print(line)
 
 
-def _fail_input(exc):
+def _fail(exc, code=2):
+    """Report an error as JSON on stderr; input errors exit 2 by default."""
     print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=_sys.stderr)
-    return 2
+    return code
 
 
 def cmd_check(args) -> int:
@@ -84,7 +86,7 @@ def cmd_check(args) -> int:
     try:
         sys_ = parse_system(_read_input(args.system), cfg.size_cap)
     except (OSError, BorderEigError) as exc:
-        return _fail_input(exc)
+        return _fail(exc)
     verdict = criterion(build_family(sys_), cfg)
     report = {
         "verdict": verdict.to_json(),
@@ -105,7 +107,7 @@ def cmd_solve(args) -> int:
     try:
         sys_ = parse_system(_read_input(args.system), cfg.size_cap)
     except (OSError, BorderEigError) as exc:
-        return _fail_input(exc)
+        return _fail(exc)
     sol = solve(sys_, cfg)
     out = sol.to_json()
     lines = [
@@ -131,9 +133,9 @@ def cmd_from_points(args) -> int:
         I = index_set_from_json(json.loads(raw), cfg.size_cap)
         nodes = parse_nodes(_read_input(args.points), I.dimension)
     except json.JSONDecodeError as exc:
-        return _fail_input(SchemaError(f"invalid JSON: {exc}"))
+        return _fail(SchemaError(f"invalid JSON: {exc}"))
     except (OSError, BorderEigError) as exc:
-        return _fail_input(exc)
+        return _fail(exc)
     report = poisedness(I, nodes, cfg.tol_poised) if len(nodes) == len(I) else None
     try:
         sys_ = system_from_nodes(I, nodes, cfg.tol_poised)
@@ -144,7 +146,7 @@ def cmd_from_points(args) -> int:
         _emit(obj, args.format, [f"not poised: {exc}"])
         return 1
     except ValueError as exc:
-        return _fail_input(exc)
+        return _fail(exc)
     out = system_to_json(sys_)
     out["poisedness"] = report.to_json()
     _emit(out, args.format, [f"poised (condition {report.condition:.3e}); system has {len(sys_.J)} relations"])
@@ -158,10 +160,11 @@ def cmd_verify(args) -> int:
         obj = json.loads(_read_input(args.roots))
         roots = _roots_from_json(obj, sys_.dimension)
     except json.JSONDecodeError as exc:
-        return _fail_input(SchemaError(f"invalid JSON: {exc}"))
+        return _fail(SchemaError(f"invalid JSON: {exc}"))
     except (OSError, BorderEigError) as exc:
-        return _fail_input(exc)
-    rows = [{"z": [[c.real, c.imag] for c in z], "residual": residual(sys_, z)} for z in roots]
+        return _fail(exc)
+    res = residual(sys_, np.array(roots).reshape(len(roots), sys_.dimension)).tolist()
+    rows = [{"z": [[c.real, c.imag] for c in z], "residual": r} for z, r in zip(roots, res)]
     ok = all(row["residual"] <= cfg.tol_accept for row in rows)
     out = {"tol_accept": cfg.tol_accept, "all_pass": ok, "roots": rows}
     lines = [
@@ -201,7 +204,7 @@ def cmd_matrices(args) -> int:
     try:
         sys_ = parse_system(_read_input(args.system), cfg.size_cap)
     except (OSError, BorderEigError) as exc:
-        return _fail_input(exc)
+        return _fail(exc)
     fam = build_family(sys_)
     out = {
         "basis": [list(b) for b in sys_.I.members],
@@ -267,8 +270,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
+    except EigenConvergenceError as exc:
+        code = _fail(exc, 1)  # a numerical failure, not bad input
     except BorderEigError as exc:
-        code = _fail_input(exc)
+        code = _fail(exc)
     if argv is None:
         _sys.exit(code)
     return code

@@ -9,8 +9,11 @@ matrix built on top of an index set a deterministic row/column layout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import LowerSetError, SizeLimitError
 
@@ -38,6 +41,13 @@ def sub_unit(alpha: MultiIndex, i: int) -> MultiIndex:
     return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
 
 
+def _exponent_array(members, n: int) -> np.ndarray:
+    """Read-only (len(members), n) integer array of the exponent vectors."""
+    E = np.array(members, dtype=np.intp).reshape(len(members), n)
+    E.flags.writeable = False
+    return E
+
+
 @dataclass
 class LowerSet:
     """A downward-closed set of multi-indices in canonical (graded lex) order."""
@@ -59,6 +69,11 @@ class LowerSet:
         if not isinstance(other, LowerSet):
             return NotImplemented
         return self.dimension == other.dimension and self.members == other.members
+
+    @functools.cached_property
+    def exponents(self) -> np.ndarray:
+        """E_I: the members as a read-only (#I, n) integer array, canonical order."""
+        return _exponent_array(self.members, self.dimension)
 
     def max_degree(self) -> int:
         return max(total_degree(a) for a in self.members)
@@ -97,6 +112,11 @@ class BorderSet:
 
     def __iter__(self):
         return iter(self.members)
+
+    @functools.cached_property
+    def exponents(self) -> np.ndarray:
+        """E_J: the members as a read-only (#J, n) integer array, canonical order."""
+        return _exponent_array(self.members, len(self.members[0]))
 
 
 def _degree_slices(n, total):

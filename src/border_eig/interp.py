@@ -39,7 +39,8 @@ class PoisednessReport:
         }
 
 
-def _check_nodes(I: LowerSet, nodes):
+def _check_nodes(I: LowerSet, nodes) -> np.ndarray:
+    """Validate the node list and stack it as a (#I, n) complex array."""
     nodes = [np.asarray(z, dtype=complex) for z in nodes]
     if len(nodes) != len(I):
         raise ValueError(f"{len(nodes)} nodes for a basis of size {len(I)}")
@@ -48,13 +49,20 @@ def _check_nodes(I: LowerSet, nodes):
             raise ValueError(f"node of shape {z.shape}, expected ({I.dimension},)")
         if not np.all(np.isfinite(z)):
             raise ValueError("non-finite node coordinate")
-    return nodes
+    return np.array(nodes).reshape(len(I), I.dimension)
 
 
 def vandermonde(I: LowerSet, nodes) -> np.ndarray:
     """Node-by-monomial evaluation matrix, columns in canonical order of I."""
-    nodes = _check_nodes(I, nodes)
-    return np.array([[monomial_eval(b, z) for b in I.members] for z in nodes])
+    return monomial_eval(I.exponents, _check_nodes(I, nodes))
+
+
+def _sigma_test(V: np.ndarray, tol: float) -> PoisednessReport:
+    s = np.linalg.svd(V, compute_uv=False)
+    smax, smin = float(s[0]), float(s[-1])
+    poised = smin > tol * smax
+    cond = smax / smin if poised and smin > 0 else np.inf
+    return PoisednessReport(smin, smax, float(cond), poised, tol)
 
 
 def poisedness(I: LowerSet, nodes, tol: float = 1e-10) -> PoisednessReport:
@@ -63,12 +71,16 @@ def poisedness(I: LowerSet, nodes, tol: float = 1e-10) -> PoisednessReport:
     Poised iff sigma_min > tol * sigma_max; the relative cut separates true
     rank deficiency from mere ill-conditioning.
     """
+    return _sigma_test(vandermonde(I, nodes), tol)
+
+
+def _factor_poised(I: LowerSet, nodes, tol: float):
+    """LU factors of the Vandermonde matrix, after the poisedness test on that same matrix."""
     V = vandermonde(I, nodes)
-    s = np.linalg.svd(V, compute_uv=False)
-    smax, smin = float(s[0]), float(s[-1])
-    poised = smin > tol * smax
-    cond = smax / smin if poised and smin > 0 else np.inf
-    return PoisednessReport(smin, smax, float(cond), poised, tol)
+    report = _sigma_test(V, tol)
+    if not report.poised:
+        raise UnisolvenceError("node set is not poised for this lower set", report)
+    return scipy.linalg.lu_factor(V)
 
 
 def interpolate(I: LowerSet, nodes, values, tol: float = 1e-10) -> np.ndarray:
@@ -77,11 +89,7 @@ def interpolate(I: LowerSet, nodes, values, tol: float = 1e-10) -> np.ndarray:
     Raises UnisolvenceError (carrying the poisedness report) when the node
     set is not poised.
     """
-    report = poisedness(I, nodes, tol)
-    if not report.poised:
-        raise UnisolvenceError("node set is not poised for this lower set", report)
-    V = vandermonde(I, nodes)
-    lu = scipy.linalg.lu_factor(V)
+    lu = _factor_poised(I, nodes, tol)
     return scipy.linalg.lu_solve(lu, np.asarray(values, dtype=complex))
 
 
@@ -92,14 +100,9 @@ def system_from_nodes(I: LowerSet, nodes, tol: float = 1e-10) -> BorderSystem:
     factorization of the Vandermonde matrix serves all right-hand sides.
     """
     nodes = _check_nodes(I, nodes)
-    report = poisedness(I, nodes, tol)
-    if not report.poised:
-        raise UnisolvenceError("node set is not poised for this lower set", report)
+    lu = _factor_poised(I, nodes, tol)
     J = border(I)
-    V = vandermonde(I, nodes)
-    lu = scipy.linalg.lu_factor(V)
-    rhs = np.array([[monomial_eval(a, z) for a in J.members] for z in nodes])
-    coeffs = scipy.linalg.lu_solve(lu, rhs).T  # rows per border index
+    coeffs = scipy.linalg.lu_solve(lu, monomial_eval(J.exponents, nodes)).T  # rows per border index
     return BorderSystem(I, J, coeffs)
 
 

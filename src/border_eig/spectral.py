@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EigenConvergenceError
 from .matrices import CommutationReport, MultMatrixFamily, build_family, commutation_report
-from .system import BorderSystem, basis_values, relation_values, residual
+from .system import BorderSystem, relation_jacobian, relation_values, residual
 
 
 @dataclass
@@ -31,6 +31,10 @@ class Config:
     tol_poised: float = 1e-10
     tol_eig: float = 1e-8
     seed: int = 42
+    # Gauss-Newton polish takes at most refine_iters steps per root (0 turns
+    # it off).  A root stops at its first step that would raise its residual
+    # or leave a non-finite coordinate (that step is discarded), and once its
+    # residual is exactly 0.
     refine_iters: int = 3
     max_retries: int = 5
     size_cap: int = 10_000
@@ -207,68 +211,44 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
 
 def _gaps_separated(w: np.ndarray, delta: float) -> bool:
     """True when all pairwise eigenvalue distances exceed delta."""
-    k = len(w)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(w[i] - w[j]) <= delta:
-                return False
-    return True
+    return all(np.all(np.abs(w[i + 1:] - w[i]) > delta) for i in range(len(w) - 1))
 
 
-def _jacobian(sys: BorderSystem, z: np.ndarray) -> np.ndarray:
-    """d P_alpha / d x_j for all border relations, at z."""
-    n = sys.dimension
-    rows = []
-    basis = sys.I.members
-    for r, alpha in enumerate(sys.J.members):
-        row = np.zeros(n, dtype=complex)
-        for j in range(n):
-            row[j] = _mono_derivative(alpha, j, z)
-            acc = 0.0 + 0.0j
-            for c, beta in zip(sys.coeffs[r], basis):
-                if c != 0 and beta[j]:
-                    acc += c * _mono_derivative(beta, j, z)
-            row[j] -= acc
-        rows.append(row)
-    return np.array(rows)
+def _gauss_newton(sys: BorderSystem, Z: np.ndarray, iters: int) -> np.ndarray:
+    """Gauss-Newton polish of every root (the rows of Z) together.
 
-
-def _mono_derivative(alpha, j, z) -> complex:
-    if alpha[j] == 0:
-        return 0.0 + 0.0j
-    out = complex(alpha[j])
-    for i, a in enumerate(alpha):
-        e = a - 1 if i == j else a
-        if e:
-            out *= complex(z[i]) ** e
-    return out
-
-
-def _refine(sys: BorderSystem, z: np.ndarray, iters: int) -> np.ndarray:
-    """Gauss-Newton polish of a root; steps that worsen the residual are rejected."""
-    current = residual(sys, z)
+    Each step solves one least-squares problem per root against the batched
+    relation Jacobian; the stopping rule is the one documented on
+    Config.refine_iters, applied root by root.
+    """
+    Z = Z.copy()
+    current = residual(sys, Z)
+    live = np.flatnonzero(current > 0.0)
     for _ in range(iters):
-        r = relation_values(sys, z)
-        J = _jacobian(sys, z)
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        cand = z + step
-        cand_res = residual(sys, cand)
-        if not np.all(np.isfinite(cand)) or cand_res > current:
+        if live.size == 0:
             break
-        z, current = cand, cand_res
-        if current == 0.0:
-            break
-    return z
+        at = Z[live]
+        r = relation_values(sys, at)
+        jac = relation_jacobian(sys, at)
+        steps = [np.linalg.lstsq(J, -v, rcond=None)[0] for J, v in zip(jac, r)]
+        cand = at + np.array(steps)
+        finite = np.all(np.isfinite(cand), axis=1)
+        cand_res = np.full(live.size, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand_res[finite] = residual(sys, cand[finite])
+        take = cand_res <= current[live]
+        Z[live[take]] = cand[take]
+        current[live[take]] = cand_res[take]
+        live = live[take & (cand_res > 0.0)]
+    return Z
 
 
-def _dedup(roots: list[np.ndarray], tol_dedup: float) -> list[int]:
-    """Indices of cluster representatives, first-seen order."""
-    if not roots:
-        return []
-    scale = 1.0 + max(float(np.max(np.abs(z))) for z in roots)
+def _dedup(Z: np.ndarray, tol_dedup: float) -> list[int]:
+    """Indices of cluster representatives among the rows of Z, first-seen order."""
+    cut = tol_dedup * (1.0 + float(np.max(np.abs(Z))))
     reps: list[int] = []
-    for k, z in enumerate(roots):
-        if all(np.linalg.norm(z - roots[r]) > tol_dedup * scale for r in reps):
+    for k in range(len(Z)):
+        if not reps or np.min(np.linalg.norm(Z[reps] - Z[k], axis=1)) > cut:
             reps.append(k)
     return reps
 
@@ -321,33 +301,29 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
             strategy = "generic-degenerate"
             vectors = last.eigenvectors
 
-    roots = []
-    extraction = []
-    for k in range(vectors.shape[1]):
-        v = vectors[:, k]
-        vv = float(np.real(np.vdot(v, v)))
-        z = np.array([np.vdot(v, A @ v) / vv for A in fam.matrices])
-        extraction.append(
-            max(
-                float(np.linalg.norm(A @ v - z[i] * v) / np.linalg.norm(v))
-                for i, A in enumerate(fam.matrices)
-            )
-        )
-        if cfg.refine_iters > 0:
-            z = _refine(sys, z, cfg.refine_iters)
-        roots.append(z)
+    # Rayleigh quotient of every eigenvector against every A_i, all at once
+    norms2 = np.sum(np.abs(vectors) ** 2, axis=0)
+    products = [A @ vectors for A in fam.matrices]
+    Z = np.array([np.sum(vectors.conj() * AV, axis=0) / norms2 for AV in products]).T
+    extraction = max(
+        float(np.max(np.linalg.norm(AV - vectors * Z[:, i], axis=0) / np.sqrt(norms2)))
+        for i, AV in enumerate(products)
+    )
+    if cfg.refine_iters > 0:
+        Z = _gauss_newton(sys, Z, cfg.refine_iters)
 
-    keep = _dedup(roots, cfg.tol_dedup)
-    roots = [roots[k] for k in keep]
-    residuals = [residual(sys, z) for z in roots]
-    flagged = [r > cfg.tol_accept for r in residuals]
+    keep = _dedup(Z, cfg.tol_dedup)
+    roots = list(Z[keep])
+    res = residual(sys, Z[keep])
+    residuals = res.tolist()
+    flagged = (res > cfg.tol_accept).tolist()
     # flagged candidates stay in the report but do not count as solutions
     distinct = sum(1 for f in flagged if not f)
 
     diagnostics = {
         "commutation": verdict.commutation.to_json(),
         "semisimplicity": [rep.to_json() for rep in verdict.semisimplicity],
-        "extraction_residual_max": max(extraction) if extraction else 0.0,
+        "extraction_residual_max": extraction,
         "degenerate_spectrum": degenerate,
         "warnings": [],
     }

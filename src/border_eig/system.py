@@ -51,18 +51,42 @@ class BorderSystem:
         return self.coeffs[self._row[alpha]]
 
 
-def monomial_eval(beta, z) -> complex:
-    """z^beta as a power product; the empty product (and 0^0) is 1."""
-    out = 1.0 + 0.0j
-    for b, zi in zip(beta, z):
-        if b:
-            out *= complex(zi) ** b
-    return out
+def monomial_eval(beta, z):
+    """Monomials z^beta for a batch of exponent vectors and a batch of points.
+
+    beta is one exponent vector (n,) or a stack of them (k, n); z is one
+    point (n,) or a stack of points (p, n).  The result is the (p, k)
+    complex matrix out[s, r] = prod_i z[s, i] ** beta[r, i]; a 1-D beta
+    drops the k axis and a 1-D z drops the p axis, so a 1-D beta with a 1-D
+    z gives a complex scalar.  Values come from a table of powers z_i^d,
+    d = 0..max(beta), built by repeated multiplication and indexed by the
+    exponent columns; the empty product and 0^0 are 1.
+    """
+    E = np.asarray(beta, dtype=np.intp)
+    Z = np.asarray(z, dtype=complex)
+    E2, Z2 = np.atleast_2d(E), np.atleast_2d(Z)
+    p, n = Z2.shape
+    if E2.shape[1] != n:
+        raise ValueError(f"exponents of length {E2.shape[1]} for points of dimension {n}")
+    powers = np.empty((p, n, int(E2.max(initial=0)) + 1), dtype=complex)
+    powers[..., 0] = 1.0
+    for d in range(1, powers.shape[2]):
+        powers[..., d] = powers[..., d - 1] * Z2
+    # coordinates multiplied left to right, so a point's values do not
+    # depend on the batch it is evaluated in
+    out = powers[:, 0, E2[:, 0]]  # (p, k)
+    for i in range(1, n):
+        out = out * powers[:, i, E2[:, i]]
+    if E.ndim == 1:
+        out = out[:, 0]
+    if Z.ndim == 1:
+        out = out[0]
+    return complex(out) if out.ndim == 0 else out
 
 
 def basis_values(I: LowerSet, z) -> np.ndarray:
-    """Evaluation vector (z^beta for beta in I), canonical order."""
-    return np.array([monomial_eval(b, z) for b in I.members])
+    """Evaluation vector (z^beta for beta in I), canonical order; (p, #I) for (p, n) points."""
+    return monomial_eval(I.exponents, z)
 
 
 def eval_relation(sys: BorderSystem, alpha, z) -> complex:
@@ -71,22 +95,46 @@ def eval_relation(sys: BorderSystem, alpha, z) -> complex:
     return monomial_eval(alpha, z) - row @ basis_values(sys.I, z)
 
 
-def relation_values(sys: BorderSystem, z) -> np.ndarray:
-    """All P_alpha(z), alpha over the border in canonical order."""
+def _basis_and_relations(sys: BorderSystem, z):
     v = basis_values(sys.I, z)
-    mono = np.array([monomial_eval(a, z) for a in sys.J.members])
-    return mono - sys.coeffs @ v
+    return v, monomial_eval(sys.J.exponents, z) - v @ sys.coeffs.T
 
 
-def residual(sys: BorderSystem, z) -> float:
+def relation_values(sys: BorderSystem, z) -> np.ndarray:
+    """All P_alpha(z), alpha over the border in canonical order; (p, #J) for (p, n) points."""
+    return _basis_and_relations(sys, z)[1]
+
+
+def relation_jacobian(sys: BorderSystem, z) -> np.ndarray:
+    """dP_alpha/dz_j: (#J, n) at one point, (p, #J, n) for (p, n) points.
+
+    Uses d z^alpha / d z_j = alpha_j z^(alpha - e_j), evaluated by the
+    monomial kernel on the shifted exponents.
+    """
+    Z = np.atleast_2d(np.asarray(z, dtype=complex))
+    jac = _monomial_gradients(sys.J.exponents, Z) - sys.coeffs @ _monomial_gradients(
+        sys.I.exponents, Z
+    )
+    return jac if np.ndim(z) == 2 else jac[0]
+
+
+def _monomial_gradients(E: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """(p, k, n) array of d z^E[r] / d z_j at the points Z (p, n)."""
+    k, n = E.shape
+    shifted = np.maximum(E[None, :, :] - np.eye(n, dtype=E.dtype)[:, None, :], 0)
+    values = monomial_eval(shifted.reshape(n * k, n), Z).reshape(len(Z), n, k)
+    return (values * E.T).transpose(0, 2, 1)
+
+
+def residual(sys: BorderSystem, z):
     """Relative residual: max_alpha |P_alpha(z)| / max(1, max_beta |z^beta|).
 
     The scaling keeps the measure meaningful for roots of large magnitude.
+    A float for one point; an array of p residuals for (p, n) points.
     """
-    v = basis_values(sys.I, z)
-    scale = max(1.0, float(np.max(np.abs(v))))
-    mono = np.array([monomial_eval(a, z) for a in sys.J.members])
-    return float(np.max(np.abs(mono - sys.coeffs @ v))) / scale
+    v, rel = _basis_and_relations(sys, z)
+    out = np.max(np.abs(rel), axis=-1) / np.maximum(1.0, np.max(np.abs(v), axis=-1))
+    return float(out) if out.ndim == 0 else out
 
 
 def _as_complex(value, path):

@@ -104,6 +104,19 @@ class TestSolve:
         assert "distinct roots: 2" in out
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_eigensolver_failure_exits_one(capsys, monkeypatch, idempotent_file, command):
+    # a numerical failure, not an input error
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    code, out, err = run_cli(capsys, command, idempotent_file)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "EigenConvergenceError"
+
+
 class TestFromPoints:
     def test_corner_nodes(self, capsys, tmp_path):
         pts = tmp_path / "pts.json"

@@ -15,6 +15,7 @@ from border_eig import (
     total_degree_set,
 )
 
+from border_eig.spectral import _gauss_newton
 from conftest import matching_error, random_separated_nodes
 
 
@@ -166,6 +167,15 @@ class TestSolve:
         polished = solve(s, Config(refine_iters=3))
         assert max(polished.residuals) <= max(raw.residuals) + 1e-14
 
+    def test_refinement_stopping_rule(self):
+        # x^2 = 1: from 1e-3 the Newton step lands near 500 and raises the
+        # residual, so that root stays put; 0.99 converges; 1 is exact
+        s = univariate([1.0, 0.0])
+        out = _gauss_newton(s, np.array([[1e-3], [0.99], [1.0]], dtype=complex), 3)
+        assert out[0, 0] == 1e-3
+        assert abs(out[1, 0] - 1.0) <= 1e-12
+        assert out[2, 0] == 1.0
+
     def test_maximal_iff_distinct_count(self):
         # forward over random poised systems, converse over the degenerate corpus
         rng = np.random.default_rng(37)
@@ -181,3 +191,31 @@ class TestSolve:
             sol = solve(s)
             assert not sol.verdict.maximal
             assert sol.distinct_count < len(s.I)
+
+
+class TestSolveBeyondSmallSets:
+    """n=3, m=5 (#I = 56) with well-conditioned unit-modulus nodes."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = np.random.default_rng(56)
+        I = total_degree_set(3, 5)
+        nodes = list(np.exp(2j * np.pi * rng.uniform(size=(len(I), 3))))
+        return system_from_nodes(I, nodes), nodes
+
+    def test_all_roots_recovered(self, case):
+        s, nodes = case
+        sol = solve(s)
+        assert sol.verdict.maximal
+        assert len(sol.roots) == sol.distinct_count == 56
+        assert not any(sol.flagged)
+        assert matching_error(sol.roots, nodes) <= 1e-10
+
+    def test_refinement_non_worsening_per_root(self, case):
+        s, _ = case
+        raw = solve(s, Config(refine_iters=0))
+        polished = solve(s, Config(refine_iters=3))
+        # same eigenbasis, and no duplicates dropped, so roots pair up by position
+        assert len(raw.roots) == len(polished.roots) == 56
+        for r0, r3 in zip(raw.residuals, polished.residuals):
+            assert r3 <= r0

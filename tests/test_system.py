@@ -11,10 +11,13 @@ from border_eig import (
     eval_relation,
     monomial_eval,
     parse_system,
+    random_lower_set,
     residual,
     serialize_system,
+    system_from_nodes,
     total_degree_set,
 )
+from border_eig.system import relation_jacobian, relation_values
 
 
 def univariate(coeff_row):
@@ -37,6 +40,46 @@ class TestMonomialEval:
 
     def test_zero_to_zero(self):
         assert monomial_eval((0,), np.array([0.0])) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batch_matches_scalar_products(self, n):
+        rng = np.random.default_rng(40 + n)
+        E = random_lower_set(n, 12, rng).exponents
+        Z = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+        Z[0] = 0.0  # every monomial but the constant vanishes; 0^0 = 1
+        Z[1, 0] = 0.0
+        out = monomial_eval(E, Z)
+        assert out.shape == (len(Z), len(E))
+        for s, z in enumerate(Z):
+            for r, beta in enumerate(E):
+                expected = 1.0 + 0.0j
+                for b, zi in zip(beta, z):
+                    expected *= complex(zi) ** int(b)
+                assert out[s, r] == pytest.approx(expected, rel=1e-13, abs=0)
+        assert np.array_equal(monomial_eval(E, Z[2]), out[2])
+        assert np.array_equal(monomial_eval(E[3], Z), out[:, 3])
+        assert monomial_eval(E[3], Z[2]) == out[2, 3]
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            monomial_eval((1, 2, 3), np.array([1.0, 2.0]))
+
+
+def test_relation_jacobian_matches_central_differences():
+    rng = np.random.default_rng(11)
+    I = random_lower_set(3, 10, rng)
+    nodes = list(np.exp(2j * np.pi * rng.uniform(size=(len(I), 3))))
+    s = system_from_nodes(I, nodes)
+    Z = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    jac = relation_jacobian(s, Z)
+    assert jac.shape == (4, len(s.J), 3)
+    h = 1e-6
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        fd = (relation_values(s, Z + e) - relation_values(s, Z - e)) / (2 * h)
+        assert np.allclose(jac[:, :, j], fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+    assert np.allclose(relation_jacobian(s, Z[1]), jac[1], rtol=1e-14, atol=0)
 
 
 class TestEvalRelation:
