@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BorderEigError, EigenConvergenceError, SchemaError, UnisolvenceError
 from .indexsets import index_set_from_json
-from .interp import parse_nodes, poisedness, system_from_nodes
+from .interp import parse_nodes, system_from_nodes
 from .matrices import build_family
 from .spectral import Config, criterion, solve
 from .system import parse_system, residual, system_to_json
@@ -136,7 +136,6 @@ def cmd_from_points(args) -> int:
         return _fail(SchemaError(f"invalid JSON: {exc}"))
     except (OSError, BorderEigError) as exc:
         return _fail(exc)
-    report = poisedness(I, nodes, cfg.tol_poised) if len(nodes) == len(I) else None
     try:
         sys_ = system_from_nodes(I, nodes, cfg.tol_poised)
     except UnisolvenceError as exc:
@@ -148,6 +147,7 @@ def cmd_from_points(args) -> int:
     except ValueError as exc:
         return _fail(exc)
     out = system_to_json(sys_)
+    report = sys_.poisedness
     out["poisedness"] = report.to_json()
     _emit(out, args.format, [f"poised (condition {report.condition:.3e}); system has {len(sys_.J)} relations"])
     return 0

@@ -75,12 +75,12 @@ def poisedness(I: LowerSet, nodes, tol: float = 1e-10) -> PoisednessReport:
 
 
 def _factor_poised(I: LowerSet, nodes, tol: float):
-    """LU factors of the Vandermonde matrix, after the poisedness test on that same matrix."""
+    """LU factors of the Vandermonde matrix and the poisedness report of that same matrix."""
     V = vandermonde(I, nodes)
     report = _sigma_test(V, tol)
     if not report.poised:
         raise UnisolvenceError("node set is not poised for this lower set", report)
-    return scipy.linalg.lu_factor(V)
+    return scipy.linalg.lu_factor(V), report
 
 
 def interpolate(I: LowerSet, nodes, values, tol: float = 1e-10) -> np.ndarray:
@@ -89,7 +89,7 @@ def interpolate(I: LowerSet, nodes, values, tol: float = 1e-10) -> np.ndarray:
     Raises UnisolvenceError (carrying the poisedness report) when the node
     set is not poised.
     """
-    lu = _factor_poised(I, nodes, tol)
+    lu, _ = _factor_poised(I, nodes, tol)
     return scipy.linalg.lu_solve(lu, np.asarray(values, dtype=complex))
 
 
@@ -98,12 +98,13 @@ def system_from_nodes(I: LowerSet, nodes, tol: float = 1e-10) -> BorderSystem:
 
     Each border monomial is interpolated over I at the nodes; one LU
     factorization of the Vandermonde matrix serves all right-hand sides.
+    The returned system carries the poisedness report of that matrix.
     """
     nodes = _check_nodes(I, nodes)
-    lu = _factor_poised(I, nodes, tol)
+    lu, report = _factor_poised(I, nodes, tol)
     J = border(I)
     coeffs = scipy.linalg.lu_solve(lu, monomial_eval(J.exponents, nodes)).T  # rows per border index
-    return BorderSystem(I, J, coeffs)
+    return BorderSystem(I, J, coeffs, poisedness=report)
 
 
 def nodes_from_json(obj, n_expected=None) -> list[np.ndarray]:

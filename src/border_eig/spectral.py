@@ -4,7 +4,9 @@ The solver reduces a border system to eigenproblems of its multiplication
 matrices.  When the family commutes and every matrix is semisimple, the
 joint eigenvectors are exactly the evaluation vectors of the roots and the
 system attains the maximal count of #I distinct solutions; the criterion
-checker decides that predicate independently of root extraction.
+checker decides that predicate independently of root extraction.  `solve`
+reuses the eigendecompositions the criterion computed, one per matrix, and
+only reads the verdict, so root extraction never feeds back into it.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class Verdict:
     maximal: bool
     commutation: CommutationReport
     semisimplicity: list[SemisimplicityReport]
+    # one per matrix of the family, in order; solve reuses them
+    decompositions: list[EigenDecomposition] = field(default_factory=list, repr=False)
 
     def to_json(self):
         return {
@@ -169,7 +173,10 @@ def _cluster(values: np.ndarray, delta: float) -> list[list[int]]:
 def semisimplicity(A: np.ndarray, dec: EigenDecomposition, cfg: Config) -> SemisimplicityReport:
     """Compare algebraic and geometric multiplicities per eigenvalue cluster.
 
-    Geometric multiplicity is #I - rank(A - lambda*Id) with the rank cut at
+    Every eigenvalue has 1 <= geometric <= algebraic multiplicity, so a
+    cluster of one eigenvalue has geometric multiplicity 1 and gets no rank
+    test.  For a cluster of two or more, the geometric multiplicity is
+    #I - rank(A - lambda*Id), lambda the cluster mean, with the rank cut at
     cfg.tol_rank relative to the largest singular value.
     """
     A = np.asarray(A, dtype=complex)
@@ -181,10 +188,12 @@ def semisimplicity(A: np.ndarray, dec: EigenDecomposition, cfg: Config) -> Semis
     for g in groups:
         lam = complex(np.mean(dec.eigenvalues[g]))
         alg = len(g)
-        s = np.linalg.svd(A - lam * np.eye(size), compute_uv=False)
-        cut = cfg.tol_rank * (s[0] if s[0] > 0 else 1.0)
-        rank = int(np.sum(s > cut))
-        geo = size - rank
+        if alg == 1:
+            geo = 1
+        else:
+            s = np.linalg.svd(A - lam * np.eye(size), compute_uv=False)
+            cut = cfg.tol_rank * (s[0] if s[0] > 0 else 1.0)
+            geo = size - int(np.sum(s > cut))
         clusters.append((lam, alg, geo))
         if geo != alg:
             ok = False
@@ -199,14 +208,10 @@ def semisimplicity(A: np.ndarray, dec: EigenDecomposition, cfg: Config) -> Semis
 def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
     """The maximality predicate: commuting family with every matrix semisimple."""
     comm = commutation_report(fam, cfg.tol_commute)
-    reports = []
-    all_ss = True
-    for A in fam.matrices:
-        dec = eigen(A, cfg.tol_eig)
-        rep = semisimplicity(A, dec, cfg)
-        reports.append(rep)
-        all_ss = all_ss and rep.semisimple
-    return Verdict(comm.commuting, all_ss, comm.commuting and all_ss, comm, reports)
+    decs = [eigen(A, cfg.tol_eig) for A in fam.matrices]
+    reports = [semisimplicity(A, dec, cfg) for A, dec in zip(fam.matrices, decs)]
+    all_ss = all(rep.semisimple for rep in reports)
+    return Verdict(comm.commuting, all_ss, comm.commuting and all_ss, comm, reports, decs)
 
 
 def _gaps_separated(w: np.ndarray, delta: float) -> bool:
@@ -266,13 +271,12 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
     n = sys.dimension
     verdict = criterion(fam, cfg)
 
-    decs = [eigen(A, cfg.tol_eig) for A in fam.matrices]
     strategy = None
     vectors = None
     degenerate = False
 
     if not cfg.force_generic:
-        for i, (A, dec) in enumerate(zip(fam.matrices, decs)):
+        for i, (A, dec) in enumerate(zip(fam.matrices, verdict.decompositions)):
             delta = cfg.tol_cluster * (1.0 + np.linalg.norm(A))
             if _gaps_separated(dec.eigenvalues, delta):
                 strategy = f"single({i + 1})"
@@ -327,9 +331,10 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
         "degenerate_spectrum": degenerate,
         "warnings": [],
     }
-    if verdict.maximal and distinct != len(sys.I):
+    if verdict.maximal != (distinct == len(sys.I)):
+        said = "maximal" if verdict.maximal else "not maximal"
         diagnostics["warnings"].append(
-            f"criterion says maximal but {distinct} distinct roots found "
+            f"criterion says {said} but {distinct} distinct roots found "
             f"for #I = {len(sys.I)}; tolerances may be inconsistent"
         )
     return SolutionSet(roots, residuals, flagged, distinct, verdict, strategy, diagnostics)

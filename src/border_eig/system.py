@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SchemaError, UnknownRelationError
 from .indexsets import BorderSet, LowerSet, border, index_set_from_json
+
+if TYPE_CHECKING:
+    from .interp import PoisednessReport
 
 
 @dataclass
@@ -22,12 +26,15 @@ class BorderSystem:
     """Coefficients of the border relations over a lower set.
 
     coeffs[r] is the length-#I coefficient row of the relation indexed by
-    J.members[r], entries following the canonical order of I.
+    J.members[r], entries following the canonical order of I.  A system
+    synthesized from nodes carries the poisedness report of its Vandermonde
+    matrix.
     """
 
     I: LowerSet
     J: BorderSet
     coeffs: np.ndarray = field(repr=False)
+    poisedness: PoisednessReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)

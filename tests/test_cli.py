@@ -135,6 +135,31 @@ class TestFromPoints:
         rows = {tuple(r["alpha"]): r["coeffs"] for r in obj["relations"]}
         assert np.allclose(rows[(2, 0)], [[0, 0], [1, 0], [0, 0]], atol=1e-12)
 
+    def test_builds_vandermonde_once(self, capsys, tmp_path, monkeypatch):
+        from border_eig import interp
+
+        calls = []
+        original = interp.vandermonde
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(interp, "vandermonde", counting)
+        pts = tmp_path / "pts.json"
+        pts.write_text('{"n": 2, "points": [[0, 0], [1, 0], [0, 1]]}')
+        code, out, _ = run_cli(
+            capsys,
+            "from-points",
+            "--index-set",
+            '{"type": "total_degree", "n": 2, "m": 1}',
+            "--points",
+            str(pts),
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["poisedness"]["condition"] > 1.0
+
     def test_collinear_exits_one(self, capsys, tmp_path):
         pts = tmp_path / "pts.json"
         pts.write_text('{"n": 2, "points": [[0, 0], [1, 1], [2, 2]]}')

@@ -141,6 +141,15 @@ class TestSystemFromNodes:
         with pytest.raises(UnisolvenceError):
             system_from_nodes(total_degree_set(2, 1), [z, z, np.array([0.0, 0.0])])
 
+    def test_carries_poisedness_report(self):
+        rng = np.random.default_rng(19)
+        I = total_degree_set(2, 2)
+        nodes = random_separated_nodes(rng, 2, len(I), sep=0.1)
+        s = system_from_nodes(I, nodes, tol=1e-9)
+        assert s.poisedness == poisedness(I, nodes, tol=1e-9)
+        assert s.poisedness.tolerance_used == 1e-9
+        assert "poisedness" not in repr(s)
+
 
 class TestRoundTrip:
     def test_random_round_trip(self):

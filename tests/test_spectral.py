@@ -15,6 +15,7 @@ from border_eig import (
     total_degree_set,
 )
 
+from border_eig import spectral
 from border_eig.spectral import _gauss_newton
 from conftest import matching_error, random_separated_nodes
 
@@ -52,13 +53,41 @@ class TestEigen:
         assert sorted(dec.eigenvalues.real) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-10)
 
 
+def unit_modulus_system(n, m, seed):
+    rng = np.random.default_rng(seed)
+    I = total_degree_set(n, m)
+    return system_from_nodes(I, list(np.exp(2j * np.pi * rng.uniform(size=(len(I), n)))))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the SVDs semisimplicity makes (install after eigen has run)."""
+    calls = []
+    original = spectral.np.linalg.svd
+
+    def install(fail=False):
+        def counting(*args, **kwargs):
+            calls.append(1)
+            if fail:
+                raise AssertionError("no SVD expected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.np.linalg, "svd", counting)
+        return calls
+
+    return install
+
+
 class TestSemisimplicity:
-    def test_jordan_block(self):
+    def test_jordan_block(self, svd_calls):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        rep = semisimplicity(A, eigen(A), Config())
+        dec = eigen(A)
+        calls = svd_calls()
+        rep = semisimplicity(A, dec, Config())
         assert not rep.semisimple
         [(lam, alg, geo)] = rep.clusters
         assert abs(lam) <= 1e-12 and alg == 2 and geo == 1
+        assert len(calls) == 1
 
     def test_identity(self):
         A = np.eye(4)
@@ -67,13 +96,24 @@ class TestSemisimplicity:
         [(lam, alg, geo)] = rep.clusters
         assert lam == pytest.approx(1.0) and alg == geo == 4
 
-    def test_idempotent_matrix(self, idempotent_system):
+    def test_idempotent_matrix(self, idempotent_system, svd_calls):
         A1 = build_family(idempotent_system).matrices[0]
         assert np.allclose(A1 @ A1, A1)  # idempotent, hence diagonalizable
-        rep = semisimplicity(A1, eigen(A1), Config())
+        dec = eigen(A1)
+        calls = svd_calls()
+        rep = semisimplicity(A1, dec, Config())
         assert rep.semisimple
         mults = sorted((round(lam.real), alg, geo) for lam, alg, geo in rep.clusters)
         assert mults == [(0, 2, 2), (1, 1, 1)]
+        assert len(calls) == 1  # only the double eigenvalue takes a rank test
+
+    def test_simple_spectrum_makes_no_svd(self, svd_calls):
+        A = np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1)
+        dec = eigen(A)
+        svd_calls(fail=True)
+        rep = semisimplicity(A, dec, Config())
+        assert rep.semisimple
+        assert [(alg, geo) for _, alg, geo in rep.clusters] == [(1, 1)] * 4
 
 
 class TestCriterion:
@@ -91,6 +131,17 @@ class TestCriterion:
         v = criterion(build_family(noncommuting_system()))
         assert not v.commuting
         assert v.maximal is False
+
+    def test_gaussian_singletons_are_simple(self):
+        # N(0,1) nodes at n=2, m=10 (#I = 66): a rank cut on a singleton
+        # cluster of A_i once reported geometric multiplicity != 1 here and
+        # turned a maximal system non-maximal
+        I = total_degree_set(2, 10)
+        nodes = list(np.random.default_rng(1).normal(size=(len(I), 2)))
+        v = criterion(build_family(system_from_nodes(I, nodes)))
+        assert v.maximal
+        singles = [geo for rep in v.semisimplicity for _, alg, geo in rep.clusters if alg == 1]
+        assert singles and all(geo == 1 for geo in singles)
 
 
 class TestSolve:
@@ -191,6 +242,64 @@ class TestSolve:
             sol = solve(s)
             assert not sol.verdict.maximal
             assert sol.distinct_count < len(s.I)
+
+
+class TestSpectralPass:
+    """solve eigendecomposes each A_i once, inside criterion."""
+
+    @pytest.fixture
+    def eigen_args(self, monkeypatch):
+        args = []
+        original = spectral.eigen
+
+        def counting(A, *rest, **kwargs):
+            args.append(A)
+            return original(A, *rest, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigen", counting)
+        return args
+
+    def test_criterion_keeps_decompositions(self):
+        fam = build_family(unit_modulus_system(2, 3, 3))
+        v = criterion(fam)
+        assert len(v.decompositions) == len(fam)
+        for A, dec in zip(fam.matrices, v.decompositions):
+            assert np.array_equal(dec.eigenvalues, eigen(A).eigenvalues)
+        assert "decompositions" not in v.to_json()
+        assert "decompositions" not in repr(v)
+
+    def test_single_strategy_eigen_calls(self, eigen_args):
+        s = unit_modulus_system(2, 3, 3)
+        sol = solve(s)
+        assert sol.strategy.startswith("single")
+        assert len(eigen_args) == s.dimension
+        for A, B in zip(build_family(s).matrices, eigen_args):
+            assert np.array_equal(A, B)
+
+    def test_generic_strategy_eigen_calls(self, eigen_args):
+        s = unit_modulus_system(2, 3, 3)
+        sol = solve(s, Config(force_generic=True))
+        # one generic attempt: its first combination is already separated
+        assert sol.strategy == "generic"
+        assert len(eigen_args) == s.dimension + 1
+        assert not any(np.array_equal(A, eigen_args[-1]) for A in build_family(s).matrices)
+
+
+class TestWarnings:
+    def test_non_maximal_with_all_roots_warns(self):
+        # a negative commutation tolerance rejects every family, so the
+        # verdict is non-maximal while solve still finds all #I roots
+        s = unit_modulus_system(2, 3, 3)
+        sol = solve(s, Config(tol_commute=-1.0))
+        assert not sol.verdict.maximal
+        assert sol.distinct_count == len(s.I)
+        [warning] = sol.diagnostics["warnings"]
+        assert "not maximal" in warning and f"#I = {len(s.I)}" in warning
+
+    def test_no_warning_when_consistent(self, idempotent_system):
+        assert solve(idempotent_system).diagnostics["warnings"] == []
+        # non-maximal with fewer than #I roots: nothing suspect
+        assert solve(univariate([0.0, 0.0])).diagnostics["warnings"] == []
 
 
 class TestSolveBeyondSmallSets:
