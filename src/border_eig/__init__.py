@@ -19,7 +19,7 @@ from .indexsets import (
 )
 from .interp import interpolate, poisedness, system_from_nodes, vandermonde
 from .matrices import build_family, build_matrix, commutation_report
-from .spectral import Config, SolutionSet, criterion, eigen, semisimplicity, solve
+from .spectral import Config, SolutionSet, criterion, eigen, solve
 from .system import (
     BorderSystem,
     eval_relation,
@@ -55,7 +55,6 @@ __all__ = [
     "poisedness",
     "random_lower_set",
     "residual",
-    "semisimplicity",
     "serialize_system",
     "solve",
     "system_from_nodes",

@@ -28,7 +28,6 @@ _ENV_PREFIX = "BORDER_EIG_"
 _TOL_FIELDS = [
     "tol_commute",
     "tol_cluster",
-    "tol_rank",
     "tol_dedup",
     "tol_accept",
     "tol_poised",
@@ -62,7 +61,6 @@ def _config_from_args(args) -> Config:
     flags["seed"] = getattr(args, "seed", None)
     flags["refine_iters"] = getattr(args, "refine", None)
     flags["size_cap"] = getattr(args, "size_cap", None)
-    flags["force_generic"] = True if getattr(args, "force_generic", False) else None
     return cfg.with_overrides(**flags)
 
 
@@ -90,12 +88,13 @@ def cmd_check(args) -> int:
     verdict = criterion(build_family(sys_), cfg)
     report = {
         "verdict": verdict.to_json(),
+        "separation": verdict.separation,
         "commutation": verdict.commutation.to_json(),
         "semisimplicity": [rep.to_json() for rep in verdict.semisimplicity],
     }
     lines = [
         f"commuting: {verdict.commuting} (max defect {verdict.commutation.max_defect:.3e})",
-        f"all_semisimple: {verdict.all_semisimple}",
+        f"all_semisimple: {verdict.all_semisimple} (separation {verdict.separation})",
         f"maximal: {verdict.maximal}",
     ]
     _emit(report, args.format, lines)
@@ -242,7 +241,6 @@ def build_parser():
 
     p = sub.add_parser("solve", help="recover all roots")
     p.add_argument("system", help="system JSON file, or - for stdin")
-    p.add_argument("--force-generic", action="store_true", help="skip the single-matrix shortcut")
     common(p)
     p.set_defaults(func=cmd_solve)
 

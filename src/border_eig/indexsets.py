@@ -15,11 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LowerSetError, SizeLimitError
+from .errors import LowerSetError, SchemaError, SizeLimitError
 
 MultiIndex = tuple[int, ...]
 
 DEFAULT_SIZE_CAP = 10_000
+
+
+def _as_int(value, path, minimum=0) -> int:
+    """A JSON integer >= minimum; bools, floats and strings raise SchemaError at path."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SchemaError(f"expected an integer >= {minimum}, got {value!r}", path)
+    return value
 
 
 def grlex_key(alpha: MultiIndex):
@@ -228,25 +235,24 @@ def index_set_from_json(obj, size_cap: int = DEFAULT_SIZE_CAP) -> LowerSet:
     """Build a LowerSet from its JSON description.
 
     Accepts {"type": "total_degree", "n": ..., "m": ...} or
-    {"type": "explicit", "n": ..., "indices": [[...], ...]}.
+    {"type": "explicit", "n": ..., "indices": [[...], ...]}, with n >= 1,
+    m >= 0 and every exponent a non-negative JSON integer.
     """
-    from .errors import SchemaError
-
     if not isinstance(obj, dict):
         raise SchemaError("index set must be an object", "index_set")
     kind = obj.get("type")
     if kind == "total_degree":
-        try:
-            n, m = int(obj["n"]), int(obj["m"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad total_degree spec: {exc}", "index_set") from exc
+        n = _as_int(obj.get("n"), "index_set.n", 1)
+        m = _as_int(obj.get("m"), "index_set.m")
         return total_degree_set(n, m, size_cap)
     if kind == "explicit":
-        try:
-            n = int(obj["n"])
-            indices = obj["indices"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad explicit spec: {exc}", "index_set") from exc
+        n = _as_int(obj.get("n"), "index_set.n", 1)
+        indices = obj.get("indices")
+        if not (indices and isinstance(indices, list) and all(isinstance(a, list) for a in indices)):
+            raise SchemaError("expected a non-empty array of arrays", "index_set.indices")
+        for k, alpha in enumerate(indices):
+            for j, a in enumerate(alpha):
+                _as_int(a, f"index_set.indices[{k}][{j}]")
         try:
             return validate_lower_set(indices, n, size_cap)
         except LowerSetError as exc:

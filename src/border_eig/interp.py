@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SchemaError, UnisolvenceError
-from .indexsets import LowerSet, border
+from .indexsets import LowerSet, _as_int, border
 from .system import BorderSystem, _as_complex, monomial_eval
 
 
@@ -111,9 +111,7 @@ def nodes_from_json(obj, n_expected=None) -> list[np.ndarray]:
     """Parse {"n": ..., "points": [[...], ...]}; bare reals accepted."""
     if not isinstance(obj, dict) or "points" not in obj:
         raise SchemaError("expected an object with a 'points' array")
-    n = int(obj.get("n", n_expected or 0))
-    if n < 1:
-        raise SchemaError("missing or invalid field", "n")
+    n = _as_int(obj.get("n", n_expected), "n", 1)
     if n_expected is not None and n != n_expected:
         raise SchemaError(f"points have dimension {n}, index set has {n_expected}", "n")
     points = obj["points"]

@@ -1,11 +1,12 @@
-"""Eigendecomposition, semisimplicity, the maximality criterion, root recovery.
+"""Eigendecomposition, the maximality criterion, root recovery.
 
-The solver reduces a border system to eigenproblems of its multiplication
-matrices.  When the family commutes and every matrix is semisimple, the
-joint eigenvectors are exactly the evaluation vectors of the roots and the
-system attains the maximal count of #I distinct solutions; the criterion
-checker decides that predicate independently of root extraction.  `solve`
-reuses the eigendecompositions the criterion computed, one per matrix, and
+The solver reduces a border system to one eigenproblem.  For a commuting
+family, every multiplication matrix is semisimple with #I joint
+eigenvalues -- the system has the maximal #I distinct solutions -- exactly
+when a generic combination M = sum c_i A_i has a simple spectrum; the
+eigenvectors of M are then the evaluation vectors of the roots.
+`criterion` eigendecomposes one seeded M, decides from it, and keeps the
+eigenbasis and the root coordinates it read off; `solve` reuses both and
 only reads the verdict, so root extraction never feeds back into it.
 """
 
@@ -17,30 +18,39 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EigenConvergenceError
+from .indexsets import DEFAULT_SIZE_CAP
 from .matrices import CommutationReport, MultMatrixFamily, build_family, commutation_report
 from .system import BorderSystem, relation_jacobian, relation_values, residual
+
+EPS = np.finfo(float).eps
 
 
 @dataclass
 class Config:
-    """Tolerances and knobs for the criterion and the solver."""
+    """Tolerances and knobs for the criterion and the solver, one decision each."""
 
+    # commuting iff every normalized commutator defect (see matrices) is at most this
     tol_commute: float = 1e-8
+    # per-matrix reports: values within tol_cluster * (1 + ||A_i||_F) and
+    # within their first-order error bounds form one cluster
     tol_cluster: float = 1e-7
-    tol_rank: float = 1e-10
+    # roots within tol_dedup * (1 + max |z|) of each other count as one
     tol_dedup: float = 1e-6
+    # a root whose residual exceeds tol_accept is flagged and not counted
     tol_accept: float = 1e-6
+    # nodes are poised iff sigma_min(V) > tol_poised * sigma_max(V)
     tol_poised: float = 1e-10
+    # eigen fails when an eigenpair residual exceeds tol_eig * (1 + ||A||_F)
     tol_eig: float = 1e-8
+    # seeds the coefficients of the generic combination M
     seed: int = 42
     # Gauss-Newton polish takes at most refine_iters steps per root (0 turns
     # it off).  A root stops at its first step that would raise its residual
     # or leave a non-finite coordinate (that step is discarded), and once its
     # residual is exactly 0.
     refine_iters: int = 3
-    max_retries: int = 5
-    size_cap: int = 10_000
-    force_generic: bool = False  # test hook: skip the single-matrix shortcut
+    # largest index set or border accepted from an input
+    size_cap: int = DEFAULT_SIZE_CAP
 
     def with_overrides(self, **kwargs):
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
@@ -56,8 +66,10 @@ class EigenDecomposition:
 
 @dataclass
 class SemisimplicityReport:
-    clusters: list[tuple[complex, int, int]]  # (representative, algebraic, geometric)
-    semisimple: bool
+    """One matrix's clustered eigenvalues; geometric and semisimple are None unless maximal."""
+
+    clusters: list[tuple[complex, int, int | None]]  # (mean, algebraic, geometric)
+    semisimple: bool | None
     worst_gap: float
 
     def to_json(self):
@@ -78,12 +90,18 @@ class SemisimplicityReport:
 @dataclass
 class Verdict:
     commuting: bool
+    # M has a simple spectrum; for a commuting family that is exactly
+    # "every A_i semisimple with #I joint eigenvalues"
     all_semisimple: bool
     maximal: bool
     commutation: CommutationReport
     semisimplicity: list[SemisimplicityReport]
-    # one per matrix of the family, in order; solve reuses them
-    decompositions: list[EigenDecomposition] = field(default_factory=list, repr=False)
+    separation: float | None  # see criterion; None for a single eigenvalue
+    # the spectral pass that solve reuses: M's eigendecomposition, the root
+    # coordinates Z[k, i], and each eigenvalue's first-order error bound
+    decomposition: EigenDecomposition | None = field(default=None, repr=False)
+    coordinates: np.ndarray | None = field(default=None, repr=False)
+    error_bounds: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self):
         return {
@@ -148,9 +166,11 @@ def eigen(A: np.ndarray, tol_eig: float = 1e-8) -> EigenDecomposition:
     return EigenDecomposition(w, V, res, cond)
 
 
-def _cluster(values: np.ndarray, delta: float) -> list[list[int]]:
-    """Single-linkage clustering of complex values at distance delta."""
+def _cluster(values: np.ndarray, delta: float, bound: np.ndarray) -> list[list[int]]:
+    """Single-linkage clustering of complex values; i and j link when
+    |values[i] - values[j]| <= min(delta, bound[i] + bound[j])."""
     k = len(values)
+    values, bound = values.tolist(), bound.tolist()  # Python scalars loop faster
     parent = list(range(k))
 
     def find(a):
@@ -161,7 +181,7 @@ def _cluster(values: np.ndarray, delta: float) -> list[list[int]]:
 
     for i in range(k):
         for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= delta:
+            if abs(values[i] - values[j]) <= min(delta, bound[i] + bound[j]):
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(k):
@@ -170,53 +190,63 @@ def _cluster(values: np.ndarray, delta: float) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-def semisimplicity(A: np.ndarray, dec: EigenDecomposition, cfg: Config) -> SemisimplicityReport:
-    """Compare algebraic and geometric multiplicities per eigenvalue cluster.
-
-    Every eigenvalue has 1 <= geometric <= algebraic multiplicity, so a
-    cluster of one eigenvalue has geometric multiplicity 1 and gets no rank
-    test.  For a cluster of two or more, the geometric multiplicity is
-    #I - rank(A - lambda*Id), lambda the cluster mean, with the rank cut at
-    cfg.tol_rank relative to the largest singular value.
-    """
-    A = np.asarray(A, dtype=complex)
-    size = A.shape[0]
-    delta = cfg.tol_cluster * (1.0 + np.linalg.norm(A))
-    groups = _cluster(dec.eigenvalues, delta)
-    clusters = []
-    ok = True
-    for g in groups:
-        lam = complex(np.mean(dec.eigenvalues[g]))
-        alg = len(g)
-        if alg == 1:
-            geo = 1
-        else:
-            s = np.linalg.svd(A - lam * np.eye(size), compute_uv=False)
-            cut = cfg.tol_rank * (s[0] if s[0] > 0 else 1.0)
-            geo = size - int(np.sum(s > cut))
-        clusters.append((lam, alg, geo))
-        if geo != alg:
-            ok = False
-    reps = [c[0] for c in clusters]
-    worst = math.inf
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            worst = min(worst, abs(reps[i] - reps[j]))
-    return SemisimplicityReport(clusters, ok, worst)
+def _separation(w: np.ndarray, bound: np.ndarray) -> float | None:
+    """min over pairs of |w_j - w_k| / (bound_j + bound_k), an undefined ratio
+    counting as 0; None for a single value."""
+    if len(w) < 2:
+        return None
+    with np.errstate(all="ignore"):
+        sep = min(np.min(np.abs(w[k + 1:] - w[k]) / (bound[k + 1:] + bound[k]))
+                  for k in range(len(w) - 1))
+    return 0.0 if math.isnan(sep) else float(sep)
 
 
 def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
-    """The maximality predicate: commuting family with every matrix semisimple."""
+    """The maximality predicate: commuting family whose generic combination is simple.
+
+    M = sum c_i A_i with c drawn from N(0, Id) under cfg.seed and scaled to
+    unit length.  With V the unit-column eigenvectors of M and Y = V^-1,
+    kappa_k = ||Y[k]|| is the condition number of eigenvalue lambda_k and
+    bound_k = eps * ||M||_F * kappa_k its first-order error bound (eps the
+    machine epsilon).  The spectrum is simple when every pair is farther
+    apart than its two error bounds:
+
+        |lambda_j - lambda_k| > bound_j + bound_k    for all j != k.
+
+    A singular V, or a non-finite Y, leaves the spectrum not simple.  For a
+    commuting family a simple spectrum is exactly "every A_i semisimple
+    with #I joint eigenvalues": each A_i is then a polynomial in M.  On a
+    simple spectrum the coordinates of root k are the two-sided Rayleigh
+    quotients Z[k, i] = (Y A_i V)[k, k]; otherwise Y is not trusted and the
+    one-sided quotients v_k^H A_i v_k stand in.
+    """
     comm = commutation_report(fam, cfg.tol_commute)
-    decs = [eigen(A, cfg.tol_eig) for A in fam.matrices]
-    reports = [semisimplicity(A, dec, cfg) for A, dec in zip(fam.matrices, decs)]
-    all_ss = all(rep.semisimple for rep in reports)
-    return Verdict(comm.commuting, all_ss, comm.commuting and all_ss, comm, reports, decs)
-
-
-def _gaps_separated(w: np.ndarray, delta: float) -> bool:
-    """True when all pairwise eigenvalue distances exceed delta."""
-    return all(np.all(np.abs(w[i + 1:] - w[i]) > delta) for i in range(len(w) - 1))
+    c = np.random.default_rng(cfg.seed).normal(size=len(fam))
+    c /= np.linalg.norm(c)
+    M = sum(ci * A for ci, A in zip(c, fam.matrices))
+    dec = eigen(M, cfg.tol_eig)
+    V = dec.eigenvectors
+    with np.errstate(all="ignore"):
+        try:
+            Y = np.linalg.inv(V)
+        except np.linalg.LinAlgError:
+            Y = np.full_like(V, np.nan)
+        kappa = np.nan_to_num(np.linalg.norm(Y, axis=1), nan=np.inf)
+        bound = EPS * np.linalg.norm(M) * kappa
+    separation = _separation(dec.eigenvalues, bound)
+    simple = separation is None or separation > 1.0
+    maximal = comm.commuting and simple
+    left = Y.T if simple else V.conj()
+    Z = np.array([np.sum(left * (A @ V), axis=0) for A in fam.matrices]).T
+    reports = []
+    for i, A in enumerate(fam.matrices):
+        norm = np.linalg.norm(A)  # A_i shares M's eigenvectors, hence kappa
+        groups = _cluster(Z[:, i], cfg.tol_cluster * (1.0 + norm), EPS * norm * kappa)
+        means = np.array([np.mean(Z[g, i]) for g in groups])
+        gaps = np.abs(np.subtract.outer(means, means))[np.triu_indices(len(means), 1)]
+        clusters = [(complex(lam), len(g), len(g) if maximal else None) for lam, g in zip(means, groups)]
+        reports.append(SemisimplicityReport(clusters, True if maximal else None, gaps.min(initial=math.inf)))
+    return Verdict(comm.commuting, simple, maximal, comm, reports, separation, dec, Z, bound)
 
 
 def _gauss_newton(sys: BorderSystem, Z: np.ndarray, iters: int) -> np.ndarray:
@@ -248,75 +278,43 @@ def _gauss_newton(sys: BorderSystem, Z: np.ndarray, iters: int) -> np.ndarray:
     return Z
 
 
-def _dedup(Z: np.ndarray, tol_dedup: float) -> list[int]:
-    """Indices of cluster representatives among the rows of Z, first-seen order."""
-    cut = tol_dedup * (1.0 + float(np.max(np.abs(Z))))
+def _dedup(Z: np.ndarray, tol_dedup: float, w: np.ndarray, bound: np.ndarray) -> list[int]:
+    """Indices of distinct roots among the rows of Z, first-seen order.
+
+    Row k repeats an earlier row r within tol_dedup * (1 + max |Z|), or within
+    sqrt(tol_dedup) * (1 + max |Z|) when their eigenvalues w_r, w_k of M are
+    not separated: copies of a root of multiplicity mu split by about
+    eps^(1/mu), and Gauss-Newton closes that gap only linearly.
+    """
+    scale = 1.0 + float(np.max(np.abs(Z)))
     reps: list[int] = []
     for k in range(len(Z)):
-        if not reps or np.min(np.linalg.norm(Z[reps] - Z[k], axis=1)) > cut:
+        separated = np.abs(w[reps] - w[k]) > bound[reps] + bound[k]
+        cut = np.where(separated, tol_dedup, math.sqrt(tol_dedup)) * scale
+        if np.all(np.linalg.norm(Z[reps] - Z[k], axis=1) > cut):
             reps.append(k)
     return reps
 
 
 def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
-    """Recover the solutions of a border system through eigenvectors.
+    """Recover the solutions of a border system from the criterion's eigenbasis.
 
-    Strategy ladder: use a single matrix when one has fully separated
-    eigenvalues, otherwise a seeded random real combination of the family
-    (retried up to cfg.max_retries).  Coordinates come from Rayleigh
-    quotients of each eigenvector, then optional Gauss-Newton polish,
-    deduplication, and the independently computed criterion verdict.
+    The candidate roots are the coordinates `criterion` read off the
+    eigenvectors of its generic combination M; then optional Gauss-Newton
+    polish and deduplication.  The strategy is "generic", or
+    "generic-degenerate" when M's spectrum is not simple.
     """
     fam = build_family(sys)
-    n = sys.dimension
     verdict = criterion(fam, cfg)
-
-    strategy = None
-    vectors = None
-    degenerate = False
-
-    if not cfg.force_generic:
-        for i, (A, dec) in enumerate(zip(fam.matrices, verdict.decompositions)):
-            delta = cfg.tol_cluster * (1.0 + np.linalg.norm(A))
-            if _gaps_separated(dec.eigenvalues, delta):
-                strategy = f"single({i + 1})"
-                vectors = dec.eigenvectors
-                break
-
-    if vectors is None:
-        rng = np.random.default_rng(cfg.seed)
-        last = None
-        for _ in range(cfg.max_retries):
-            c = rng.normal(size=n)
-            c /= np.linalg.norm(c)
-            M = sum(ci * A for ci, A in zip(c, fam.matrices))
-            dec = eigen(M, cfg.tol_eig)
-            last = dec
-            delta = cfg.tol_cluster * (1.0 + np.linalg.norm(M))
-            if _gaps_separated(dec.eigenvalues, delta):
-                strategy = "generic"
-                vectors = dec.eigenvectors
-                break
-        if vectors is None:
-            # every combination has a clustered spectrum (defective or
-            # repeated roots); extract what the last eigenbasis offers and
-            # let the verdict carry the explanation
-            degenerate = True
-            strategy = "generic-degenerate"
-            vectors = last.eigenvectors
-
-    # Rayleigh quotient of every eigenvector against every A_i, all at once
-    norms2 = np.sum(np.abs(vectors) ** 2, axis=0)
-    products = [A @ vectors for A in fam.matrices]
-    Z = np.array([np.sum(vectors.conj() * AV, axis=0) / norms2 for AV in products]).T
-    extraction = max(
-        float(np.max(np.linalg.norm(AV - vectors * Z[:, i], axis=0) / np.sqrt(norms2)))
-        for i, AV in enumerate(products)
-    )
+    dec, Z = verdict.decomposition, verdict.coordinates
+    V = dec.eigenvectors
+    degenerate = not verdict.all_semisimple
+    extraction = max(float(np.max(np.linalg.norm(A @ V - V * z, axis=0)))
+                     for A, z in zip(fam.matrices, Z.T))
     if cfg.refine_iters > 0:
         Z = _gauss_newton(sys, Z, cfg.refine_iters)
 
-    keep = _dedup(Z, cfg.tol_dedup)
+    keep = _dedup(Z, cfg.tol_dedup, dec.eigenvalues, verdict.error_bounds)
     roots = list(Z[keep])
     res = residual(sys, Z[keep])
     residuals = res.tolist()
@@ -327,6 +325,7 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
     diagnostics = {
         "commutation": verdict.commutation.to_json(),
         "semisimplicity": [rep.to_json() for rep in verdict.semisimplicity],
+        "separation": verdict.separation,
         "extraction_residual_max": extraction,
         "degenerate_spectrum": degenerate,
         "warnings": [],
@@ -337,4 +336,5 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
             f"criterion says {said} but {distinct} distinct roots found "
             f"for #I = {len(sys.I)}; tolerances may be inconsistent"
         )
+    strategy = "generic-degenerate" if degenerate else "generic"
     return SolutionSet(roots, residuals, flagged, distinct, verdict, strategy, diagnostics)

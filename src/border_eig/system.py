@@ -8,6 +8,7 @@ imaginary part.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -15,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SchemaError, UnknownRelationError
-from .indexsets import BorderSet, LowerSet, border, index_set_from_json
+from .indexsets import BorderSet, LowerSet, _as_int, border, index_set_from_json
 
 if TYPE_CHECKING:
     from .interp import PoisednessReport
@@ -145,16 +146,17 @@ def residual(sys: BorderSystem, z):
 
 
 def _as_complex(value, path):
-    """Accept [re, im] or a bare real number."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
-    ):
-        return complex(value[0], value[1])
-    raise SchemaError(f"expected a number or [re, im], got {value!r}", path)
+    """Accept [re, im] or a bare real number, every part finite."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value, 0]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise SchemaError(f"expected a number or [re, im], got {value!r}", path)
+    try:
+        z = complex(parts[0], parts[1])
+    except OverflowError:  # an integer beyond the float range
+        z = complex(cmath.inf)
+    if not cmath.isfinite(z):
+        raise SchemaError(f"non-finite number {value!r}", path)
+    return z
 
 
 def system_from_json(obj, size_cap=None) -> BorderSystem:
@@ -176,7 +178,9 @@ def system_from_json(obj, size_cap=None) -> BorderSystem:
         path = f"relations[{k}]"
         if not isinstance(rel, dict) or "alpha" not in rel or "coeffs" not in rel:
             raise SchemaError("each relation needs 'alpha' and 'coeffs'", path)
-        alpha = tuple(int(a) for a in rel["alpha"])
+        if not isinstance(rel["alpha"], list):
+            raise SchemaError(f"expected an array, got {rel['alpha']!r}", f"{path}.alpha")
+        alpha = tuple(_as_int(a, f"{path}.alpha[{j}]") for j, a in enumerate(rel["alpha"]))
         if alpha in I:
             raise SchemaError(f"alpha {list(alpha)} inside I", f"{path}.alpha")
         if alpha not in row_of:

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +72,77 @@ class TestCheck:
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent/x.json")
         assert code == 2
+
+
+    def test_triple_root_exits_one(self, capsys, tmp_path):
+        # (x - 1)^3 (x + 1) (x - 2): its triple root splits by about 1e-5
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(TRIPLE_ROOT))
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["verdict"]["maximal"] is False
+        assert obj["separation"] < 1.0
+        code, out, _ = run_cli(capsys, "solve", str(path))
+        assert code == 1
+        assert json.loads(out)["distinct_count"] != 5
+
+    def test_separation_printed(self, capsys, idempotent_file):
+        _, out, _ = run_cli(capsys, "check", idempotent_file)
+        assert json.loads(out)["separation"] > 1.0
+        _, out, _ = run_cli(capsys, "solve", idempotent_file)
+        assert json.loads(out)["diagnostics"]["separation"] > 1.0
+
+    def test_reads_stdin(self, capsys, monkeypatch, idempotent_system):
+        data = serialize_system(idempotent_system)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, _ = run_cli(capsys, "check", "-")
+        assert code == 0
+        assert json.loads(out)["verdict"]["maximal"] is True
+
+
+TRIPLE_ROOT = {
+    "index_set": {"type": "total_degree", "n": 1, "m": 4},
+    "relations": [{"alpha": [5], "coeffs": [-2, 5, -2, -4, 4]}],
+}
+
+TWO_ROOTS = {
+    "index_set": {"type": "total_degree", "n": 1, "m": 1},
+    "relations": [{"alpha": [2], "coeffs": [1, 0]}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, system, points",
+    [
+        ("check", {**TWO_ROOTS, "index_set": {"type": "total_degree", "n": 1, "m": -1}}, None),
+        ("check", {**TWO_ROOTS, "index_set": {"type": "total_degree", "n": 0, "m": 1}}, None),
+        ("check", {**TWO_ROOTS, "index_set": {"type": "explicit", "n": 2, "indices": [[0, "a"]]}}, None),
+        ("check", {**TWO_ROOTS, "index_set": {"type": "explicit", "n": 1, "indices": []}}, None),
+        ("check", {**TWO_ROOTS, "relations": [{"alpha": 5, "coeffs": [1, 0]}]}, None),
+        ("check", {**TWO_ROOTS, "relations": [{"alpha": [2.9], "coeffs": [1, 0]}]}, None),
+        ("check", {**TWO_ROOTS, "relations": [{"alpha": [True], "coeffs": [1, 0]}]}, None),
+        ("check", {**TWO_ROOTS, "relations": [{"alpha": [2], "coeffs": [1e400, 0]}]}, None),
+        ("check", {**TWO_ROOTS, "relations": [{"alpha": [2], "coeffs": [[0, 10**400], 0]}]}, None),
+        ("from-points", None, {"n": "x", "points": [[-1], [1]]}),
+    ],
+    ids=["m-negative", "n-zero", "index-not-int", "indices-empty", "alpha-scalar",
+         "alpha-float", "alpha-bool", "coeff-overflow", "coeff-big-int", "points-n-string"],
+)
+def test_malformed_input_exits_two(capsys, tmp_path, command, system, points):
+    if command == "check":
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(system))  # 1e400 is written as Infinity
+        argv = ["check", str(path)]
+    else:
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps(points))
+        argv = ["from-points", "--index-set", '{"type": "total_degree", "n": 1, "m": 1}',
+                "--points", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SchemaError"
 
 
 class TestSolve:
@@ -246,13 +319,15 @@ class TestMatrices:
 
 
 class TestConfig:
-    def test_env_var_override(self, capsys, nilpotent_file, monkeypatch):
-        # an absurdly large rank tolerance makes the Jordan block look semisimple
-        monkeypatch.setenv("BORDER_EIG_TOL_RANK", "10.0")
-        code, out, _ = run_cli(capsys, "check", nilpotent_file)
-        assert json.loads(out)["verdict"]["all_semisimple"] is True
+    def test_env_var_override(self, capsys, idempotent_file, monkeypatch):
+        # a negative commutation tolerance rejects every family
+        monkeypatch.setenv("BORDER_EIG_TOL_COMMUTE", "-1")
+        code, out, _ = run_cli(capsys, "check", idempotent_file)
+        assert code == 1
+        assert json.loads(out)["verdict"]["commuting"] is False
 
-    def test_flag_beats_env(self, capsys, nilpotent_file, monkeypatch):
-        monkeypatch.setenv("BORDER_EIG_TOL_RANK", "10.0")
-        code, out, _ = run_cli(capsys, "check", nilpotent_file, "--tol-rank", "1e-10")
-        assert json.loads(out)["verdict"]["all_semisimple"] is False
+    def test_flag_beats_env(self, capsys, idempotent_file, monkeypatch):
+        monkeypatch.setenv("BORDER_EIG_TOL_COMMUTE", "-1")
+        code, out, _ = run_cli(capsys, "check", idempotent_file, "--tol-commute", "1e-8")
+        assert code == 0
+        assert json.loads(out)["verdict"]["commuting"] is True

@@ -9,10 +9,10 @@ from border_eig import (
     criterion,
     eigen,
     residual,
-    semisimplicity,
     solve,
     system_from_nodes,
     total_degree_set,
+    validate_lower_set,
 )
 
 from border_eig import spectral
@@ -59,61 +59,69 @@ def unit_modulus_system(n, m, seed):
     return system_from_nodes(I, list(np.exp(2j * np.pi * rng.uniform(size=(len(I), n)))))
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Count the SVDs semisimplicity makes (install after eigen has run)."""
-    calls = []
-    original = spectral.np.linalg.svd
+def unit_square_double_roots():
+    """{0,1}^2 with x^2 = 2x - 1 and y^2 = 1: roots (1, 1) and (1, -1), each double."""
+    I = validate_lower_set([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
+    J = border(I)
+    rows = {  # over the basis 1, x, y, xy
+        (2, 0): [-1, 2, 0, 0],
+        (0, 2): [1, 0, 0, 0],
+        (2, 1): [0, 0, -1, 2],
+        (1, 2): [0, 1, 0, 0],
+    }
+    return BorderSystem(I, J, np.array([rows[a] for a in J.members], dtype=complex))
 
-    def install(fail=False):
-        def counting(*args, **kwargs):
-            calls.append(1)
-            if fail:
-                raise AssertionError("no SVD expected")
-            return original(*args, **kwargs)
 
-        monkeypatch.setattr(spectral.np.linalg, "svd", counting)
-        return calls
-
-    return install
+def triple_root_system():
+    """(x - 1)^3 (x + 1) (x - 2): #I = 5, three distinct roots."""
+    return univariate(list(-np.poly([1, 1, 1, -1, 2])[1:][::-1]))
 
 
 class TestSemisimplicity:
-    def test_jordan_block(self, svd_calls):
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        dec = eigen(A)
-        calls = svd_calls()
-        rep = semisimplicity(A, dec, Config())
-        assert not rep.semisimple
-        [(lam, alg, geo)] = rep.clusters
-        assert abs(lam) <= 1e-12 and alg == 2 and geo == 1
-        assert len(calls) == 1
+    """The per-matrix reports, rebuilt from the joint eigenbasis."""
 
-    def test_identity(self):
-        A = np.eye(4)
-        rep = semisimplicity(A, eigen(A), Config())
-        assert rep.semisimple
+    def test_jordan_block(self):
+        v = criterion(build_family(univariate([0.0, 0.0])))
+        [rep] = v.semisimplicity
+        assert rep.semisimple is None
         [(lam, alg, geo)] = rep.clusters
-        assert lam == pytest.approx(1.0) and alg == geo == 4
+        assert abs(lam) <= 1e-12 and alg == 2 and geo is None
 
-    def test_idempotent_matrix(self, idempotent_system, svd_calls):
-        A1 = build_family(idempotent_system).matrices[0]
+    def test_idempotent_matrix(self, idempotent_system):
+        fam = build_family(idempotent_system)
+        A1 = fam.matrices[0]
         assert np.allclose(A1 @ A1, A1)  # idempotent, hence diagonalizable
-        dec = eigen(A1)
-        calls = svd_calls()
-        rep = semisimplicity(A1, dec, Config())
+        rep = criterion(fam).semisimplicity[0]
         assert rep.semisimple
         mults = sorted((round(lam.real), alg, geo) for lam, alg, geo in rep.clusters)
         assert mults == [(0, 2, 2), (1, 1, 1)]
-        assert len(calls) == 1  # only the double eigenvalue takes a rank test
 
-    def test_simple_spectrum_makes_no_svd(self, svd_calls):
-        A = np.diag([1.0, 2.0, 3.0, 4.0]) + np.triu(np.ones((4, 4)), 1)
-        dec = eigen(A)
-        svd_calls(fail=True)
-        rep = semisimplicity(A, dec, Config())
-        assert rep.semisimple
-        assert [(alg, geo) for _, alg, geo in rep.clusters] == [(1, 1)] * 4
+    def test_close_coordinates_stay_apart(self):
+        # x-coordinates 1e-8 apart lie inside the tol_cluster radius, but far
+        # outside their error bounds: distinct eigenvalues of A_1, not a mean
+        nodes = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0 + 1e-8, 1.0])]
+        v = criterion(build_family(system_from_nodes(total_degree_set(2, 1), nodes)))
+        assert v.maximal
+        values = sorted(lam.real for lam, alg, geo in v.semisimplicity[0].clusters)
+        assert values == pytest.approx([0.0, 1.0, 1.0 + 1e-8], abs=1e-13)
+
+    def test_simple_spectrum_makes_no_svd(self, monkeypatch):
+        # the only SVD of the criterion is the one inside eigen
+        original = spectral.eigen
+
+        def then_forbid_svd(*args, **kwargs):
+            dec = original(*args, **kwargs)
+
+            def no_svd(*a, **k):
+                raise AssertionError("no SVD expected")
+
+            monkeypatch.setattr(spectral.np.linalg, "svd", no_svd)
+            return dec
+
+        monkeypatch.setattr(spectral, "eigen", then_forbid_svd)
+        v = criterion(build_family(unit_modulus_system(2, 3, 3)))
+        assert v.maximal
+        assert all(geo == alg for rep in v.semisimplicity for _, alg, geo in rep.clusters)
 
 
 class TestCriterion:
@@ -131,6 +139,27 @@ class TestCriterion:
         v = criterion(build_family(noncommuting_system()))
         assert not v.commuting
         assert v.maximal is False
+
+    def test_triple_root_not_maximal(self):
+        v = criterion(build_family(triple_root_system()))
+        assert v.commuting and not v.all_semisimple and not v.maximal
+        assert v.separation < 1.0
+
+    def test_unit_square_double_roots_not_maximal(self):
+        v = criterion(build_family(unit_square_double_roots()))
+        assert v.commuting and not v.maximal
+
+    def test_separation_reported(self, idempotent_system):
+        v = criterion(build_family(idempotent_system))
+        assert v.separation > 1.0
+        assert criterion(build_family(univariate([-2.0]))).separation is None  # #I = 1
+
+    def test_singular_eigenbasis_warns_nothing(self, recwarn):
+        # x^3 = 0: every eigenvector of M is e_1, so V is singular
+        v = criterion(build_family(univariate([0.0, 0.0, 0.0])))
+        assert not v.maximal and v.separation == 0.0
+        assert np.all(np.isfinite(v.coordinates))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_gaussian_singletons_are_simple(self):
         # N(0,1) nodes at n=2, m=10 (#I = 66): a rank cut on a singleton
@@ -159,6 +188,15 @@ class TestSolve:
         expected = [np.array([0, 0]), np.array([1, 0]), np.array([0, 1])]
         assert matching_error(sol.roots, expected) <= 1e-10
 
+    def test_triple_root_not_reported_five_times(self):
+        sol = solve(triple_root_system())
+        assert not sol.verdict.maximal
+        assert sol.strategy == "generic-degenerate"
+        assert sol.distinct_count == 3
+        roots = sorted(z[0].real for z, f in zip(sol.roots, sol.flagged) if not f)
+        assert roots == pytest.approx([-1.0, 1.0, 2.0], abs=1e-4)
+        assert sol.diagnostics["warnings"] == []
+
     def test_nilpotent(self):
         sol = solve(univariate([0.0, 0.0]))
         assert not sol.verdict.maximal
@@ -173,19 +211,6 @@ class TestSolve:
         assert not any(sol.flagged)
         assert all(r <= 1e-6 for r in sol.residuals)
 
-    def test_strategy_agreement(self):
-        # where the single-matrix shortcut applies, the generic combination
-        # must reproduce the same root multiset
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            I = total_degree_set(2, 2)
-            s = system_from_nodes(I, random_separated_nodes(rng, 2, len(I), sep=0.1))
-            fast = solve(s)
-            slow = solve(s, Config(force_generic=True))
-            assert slow.strategy == "generic"
-            if fast.strategy.startswith("single"):
-                assert matching_error(fast.roots, slow.roots) <= 1e-6
-
     def test_determinism(self, idempotent_system):
         a = solve(idempotent_system, Config(seed=42))
         b = solve(idempotent_system, Config(seed=42))
@@ -196,8 +221,8 @@ class TestSolve:
         rng = np.random.default_rng(23)
         I = total_degree_set(2, 1)
         s = system_from_nodes(I, random_separated_nodes(rng, 2, len(I), sep=0.3))
-        a = solve(s, Config(seed=7, force_generic=True))
-        b = solve(s, Config(seed=42, force_generic=True))
+        a = solve(s, Config(seed=7))
+        b = solve(s, Config(seed=42))
         assert matching_error(a.roots, b.roots) <= 1e-6
 
     def test_permutation_equivariance(self):
@@ -245,7 +270,7 @@ class TestSolve:
 
 
 class TestSpectralPass:
-    """solve eigendecomposes each A_i once, inside criterion."""
+    """check and solve eigendecompose one generic combination, once."""
 
     @pytest.fixture
     def eigen_args(self, monkeypatch):
@@ -262,27 +287,27 @@ class TestSpectralPass:
     def test_criterion_keeps_decompositions(self):
         fam = build_family(unit_modulus_system(2, 3, 3))
         v = criterion(fam)
-        assert len(v.decompositions) == len(fam)
-        for A, dec in zip(fam.matrices, v.decompositions):
-            assert np.array_equal(dec.eigenvalues, eigen(A).eigenvalues)
-        assert "decompositions" not in v.to_json()
-        assert "decompositions" not in repr(v)
-
-    def test_single_strategy_eigen_calls(self, eigen_args):
-        s = unit_modulus_system(2, 3, 3)
-        sol = solve(s)
-        assert sol.strategy.startswith("single")
-        assert len(eigen_args) == s.dimension
-        for A, B in zip(build_family(s).matrices, eigen_args):
-            assert np.array_equal(A, B)
+        assert v.decomposition.eigenvectors.shape == (fam.size, fam.size)
+        assert v.coordinates.shape == (fam.size, len(fam))
+        for field in ("decomposition", "coordinates", "error_bounds"):
+            assert field not in v.to_json()
+            assert field not in repr(v)
 
     def test_generic_strategy_eigen_calls(self, eigen_args):
         s = unit_modulus_system(2, 3, 3)
-        sol = solve(s, Config(force_generic=True))
-        # one generic attempt: its first combination is already separated
+        sol = solve(s)
         assert sol.strategy == "generic"
-        assert len(eigen_args) == s.dimension + 1
-        assert not any(np.array_equal(A, eigen_args[-1]) for A in build_family(s).matrices)
+        [M] = eigen_args
+        assert not any(np.array_equal(A, M) for A in build_family(s).matrices)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_eigen_call(self, eigen_args, n):
+        s = unit_modulus_system(n, 2, 5)
+        criterion(build_family(s))
+        assert len(eigen_args) == 1
+        sol = solve(s)
+        assert len(eigen_args) == 2  # solve's own criterion call, nothing more
+        assert sol.verdict.maximal and sol.distinct_count == len(s.I)
 
 
 class TestWarnings:
@@ -300,6 +325,20 @@ class TestWarnings:
         assert solve(idempotent_system).diagnostics["warnings"] == []
         # non-maximal with fewer than #I roots: nothing suspect
         assert solve(univariate([0.0, 0.0])).diagnostics["warnings"] == []
+
+
+class TestGaussianRegression:
+    """N(0,1) nodes at n=3, m=6 (#I = 84), default_rng(4): the per-cluster
+    rank test once called this commuting family non-maximal."""
+
+    def test_maximal_with_all_roots(self):
+        I = total_degree_set(3, 6)
+        nodes = list(np.random.default_rng(4).normal(size=(len(I), 3)))
+        sol = solve(system_from_nodes(I, nodes))
+        assert sol.verdict.maximal
+        assert sol.distinct_count == len(sol.roots) == 84
+        assert not any(sol.flagged)
+        assert matching_error(sol.roots, nodes) <= 1e-6
 
 
 class TestSolveBeyondSmallSets:
