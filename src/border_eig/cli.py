@@ -44,14 +44,15 @@ def _read_input(path):
 
 def _env_overrides():
     out = {}
-    for name in _TOL_FIELDS:
-        raw = os.environ.get(_ENV_PREFIX + name.upper())
+    casts = [(name, float) for name in _TOL_FIELDS] + [("seed", int), ("refine_iters", int), ("size_cap", int)]
+    for name, cast in casts:
+        var = _ENV_PREFIX + name.upper()
+        raw = os.environ.get(var)
         if raw is not None:
-            out[name] = float(raw)
-    for name, cast in (("seed", int), ("refine_iters", int), ("size_cap", int)):
-        raw = os.environ.get(_ENV_PREFIX + name.upper())
-        if raw is not None:
-            out[name] = cast(raw)
+            try:
+                out[name] = cast(raw)
+            except ValueError:
+                raise SchemaError(f"expected {cast.__name__}, got {raw!r}", var) from None
     return out
 
 

@@ -8,6 +8,17 @@ eigenvectors of M are then the evaluation vectors of the roots.
 `criterion` eigendecomposes one seeded M, decides from it, and keeps the
 eigenbasis and the root coordinates it read off; `solve` reuses both and
 only reads the verdict, so root extraction never feeds back into it.
+
+One rule separates two values x_j, x_k with first-order error bounds
+b_j, b_k (Moeller & Stetter 1995): they are told apart when
+
+    |x_j - x_k| > b_j + b_k,
+
+read off the gap-ratio matrix of `_gap_ratios` as R[j, k] > 1.  It has
+three uses: `separation` is the smallest ratio among M's eigenvalues
+(simple spectrum iff > 1); the per-matrix reports link coordinates the
+rule cannot tell apart and that also lie within the tol_cluster radius;
+and `_dedup` merges unseparated eigenvalues' roots at a looser cut.
 """
 
 from __future__ import annotations
@@ -31,8 +42,9 @@ class Config:
 
     # commuting iff every normalized commutator defect (see matrices) is at most this
     tol_commute: float = 1e-8
-    # per-matrix reports: values within tol_cluster * (1 + ||A_i||_F) and
-    # within their first-order error bounds form one cluster
+    # per-matrix reports: coordinates within tol_cluster * (1 + ||A_i||_F)
+    # that the separation rule (module docstring) cannot tell apart link
+    # into one cluster
     tol_cluster: float = 1e-7
     # roots within tol_dedup * (1 + max |z|) of each other count as one
     tol_dedup: float = 1e-6
@@ -61,7 +73,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray = field(repr=False)  # unit-norm columns
     residuals: np.ndarray
-    vector_condition: float
 
 
 @dataclass
@@ -102,6 +113,9 @@ class Verdict:
     decomposition: EigenDecomposition | None = field(default=None, repr=False)
     coordinates: np.ndarray | None = field(default=None, repr=False)
     error_bounds: np.ndarray | None = field(default=None, repr=False)
+    # largest column norm of A_i V - V diag(Z[:, i]) over all i, taken
+    # from the products A_i V that gave Z
+    extraction_residual: float | None = field(default=None, repr=False)
 
     def to_json(self):
         return {
@@ -153,52 +167,45 @@ def eigen(A: np.ndarray, tol_eig: float = 1e-8) -> EigenDecomposition:
         raise EigenConvergenceError(f"eigensolver did not converge: {exc}") from exc
     V = V / np.linalg.norm(V, axis=0, keepdims=True)
     res = np.linalg.norm(A @ V - V * w, axis=0)
-    try:
-        cond = float(np.linalg.cond(V))
-    except np.linalg.LinAlgError:
-        cond = math.inf
     scale = tol_eig * (1.0 + np.linalg.norm(A))
     if np.any(res > scale):
         raise EigenConvergenceError(
             f"eigenpair residual {res.max():.3e} exceeds {scale:.3e}",
             converged_size=int(np.sum(res <= scale)),
         )
-    return EigenDecomposition(w, V, res, cond)
+    return EigenDecomposition(w, V, res)
 
 
-def _cluster(values: np.ndarray, delta: float, bound: np.ndarray) -> list[list[int]]:
-    """Single-linkage clustering of complex values; i and j link when
-    |values[i] - values[j]| <= min(delta, bound[i] + bound[j])."""
-    k = len(values)
-    values, bound = values.tolist(), bound.tolist()  # Python scalars loop faster
-    parent = list(range(k))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= min(delta, bound[i] + bound[j]):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    # deterministic order: by the smallest member index
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
-def _separation(w: np.ndarray, bound: np.ndarray) -> float | None:
-    """min over pairs of |w_j - w_k| / (bound_j + bound_k), an undefined ratio
-    counting as 0; None for a single value."""
-    if len(w) < 2:
-        return None
+def _gap_ratios(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """R[j, k] = |x_j - x_k| / (bound_j + bound_k); x_j and x_k are separated
+    iff R[j, k] > 1.  An undefined ratio (0/0) counts as 0; the diagonal is inf."""
     with np.errstate(all="ignore"):
-        sep = min(np.min(np.abs(w[k + 1:] - w[k]) / (bound[k + 1:] + bound[k]))
-                  for k in range(len(w) - 1))
-    return 0.0 if math.isnan(sep) else float(sep)
+        R = np.abs(np.subtract.outer(x, x)) / np.add.outer(bound, bound)
+    R[np.isnan(R)] = 0.0
+    np.fill_diagonal(R, np.inf)
+    return R
+
+
+def _components(adj: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean adjacency matrix, ordered
+    by their smallest member, members ascending.
+
+    Every node starts labelled with itself; each round it takes the smallest
+    label among its neighbours, then its label's label (pointer jumping),
+    until nothing changes.  Labels only decrease and stay inside the
+    component, so each component ends labelled with its smallest member.
+    """
+    src, dst = np.nonzero(adj)
+    label = np.arange(len(adj))
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, src, label[dst])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
@@ -233,20 +240,27 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
             Y = np.full_like(V, np.nan)
         kappa = np.nan_to_num(np.linalg.norm(Y, axis=1), nan=np.inf)
         bound = EPS * np.linalg.norm(M) * kappa
-    separation = _separation(dec.eigenvalues, bound)
+    separation = float(_gap_ratios(dec.eigenvalues, bound).min()) if len(bound) > 1 else None
     simple = separation is None or separation > 1.0
     maximal = comm.commuting and simple
     left = Y.T if simple else V.conj()
-    Z = np.array([np.sum(left * (A @ V), axis=0) for A in fam.matrices]).T
-    reports = []
-    for i, A in enumerate(fam.matrices):
+    columns, extraction, reports = [], [], []
+    for A in fam.matrices:
+        AV = A @ V
+        z = np.sum(left * AV, axis=0)
+        columns.append(z)
+        extraction.append(float(np.max(np.linalg.norm(AV - V * z, axis=0))))
         norm = np.linalg.norm(A)  # A_i shares M's eigenvectors, hence kappa
-        groups = _cluster(Z[:, i], cfg.tol_cluster * (1.0 + norm), EPS * norm * kappa)
-        means = np.array([np.mean(Z[g, i]) for g in groups])
+        link = (_gap_ratios(z, EPS * norm * kappa) <= 1.0) & (
+            np.abs(np.subtract.outer(z, z)) <= cfg.tol_cluster * (1.0 + norm))
+        groups = _components(link)
+        means = np.array([np.mean(z[g]) for g in groups])
         gaps = np.abs(np.subtract.outer(means, means))[np.triu_indices(len(means), 1)]
         clusters = [(complex(lam), len(g), len(g) if maximal else None) for lam, g in zip(means, groups)]
         reports.append(SemisimplicityReport(clusters, True if maximal else None, gaps.min(initial=math.inf)))
-    return Verdict(comm.commuting, simple, maximal, comm, reports, separation, dec, Z, bound)
+    Z = np.array(columns).T
+    return Verdict(comm.commuting, simple, maximal, comm, reports, separation, dec, Z, bound,
+                   max(extraction))
 
 
 def _gauss_newton(sys: BorderSystem, Z: np.ndarray, iters: int) -> np.ndarray:
@@ -287,10 +301,10 @@ def _dedup(Z: np.ndarray, tol_dedup: float, w: np.ndarray, bound: np.ndarray) ->
     eps^(1/mu), and Gauss-Newton closes that gap only linearly.
     """
     scale = 1.0 + float(np.max(np.abs(Z)))
+    separated = _gap_ratios(w, bound) > 1.0
     reps: list[int] = []
     for k in range(len(Z)):
-        separated = np.abs(w[reps] - w[k]) > bound[reps] + bound[k]
-        cut = np.where(separated, tol_dedup, math.sqrt(tol_dedup)) * scale
+        cut = np.where(separated[reps, k], tol_dedup, math.sqrt(tol_dedup)) * scale
         if np.all(np.linalg.norm(Z[reps] - Z[k], axis=1) > cut):
             reps.append(k)
     return reps
@@ -307,10 +321,7 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
     fam = build_family(sys)
     verdict = criterion(fam, cfg)
     dec, Z = verdict.decomposition, verdict.coordinates
-    V = dec.eigenvectors
     degenerate = not verdict.all_semisimple
-    extraction = max(float(np.max(np.linalg.norm(A @ V - V * z, axis=0)))
-                     for A, z in zip(fam.matrices, Z.T))
     if cfg.refine_iters > 0:
         Z = _gauss_newton(sys, Z, cfg.refine_iters)
 
@@ -326,7 +337,7 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
         "commutation": verdict.commutation.to_json(),
         "semisimplicity": [rep.to_json() for rep in verdict.semisimplicity],
         "separation": verdict.separation,
-        "extraction_residual_max": extraction,
+        "extraction_residual_max": verdict.extraction_residual,
         "degenerate_spectrum": degenerate,
         "warnings": [],
     }

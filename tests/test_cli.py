@@ -331,3 +331,16 @@ class TestConfig:
         code, out, _ = run_cli(capsys, "check", idempotent_file, "--tol-commute", "1e-8")
         assert code == 0
         assert json.loads(out)["verdict"]["commuting"] is True
+
+    @pytest.mark.parametrize("var, value", [
+        ("BORDER_EIG_SEED", "abc"),
+        ("BORDER_EIG_TOL_COMMUTE", "x"),
+        ("BORDER_EIG_REFINE_ITERS", "1.5"),
+    ])
+    def test_malformed_env_var_exits_two(self, capsys, idempotent_file, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        code, out, err = run_cli(capsys, "check", idempotent_file)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "SchemaError" and var in error["message"]

@@ -16,7 +16,7 @@ from border_eig import (
 )
 
 from border_eig import spectral
-from border_eig.spectral import _gauss_newton
+from border_eig.spectral import _components, _gap_ratios, _gauss_newton
 from conftest import matching_error, random_separated_nodes
 
 
@@ -42,15 +42,58 @@ class TestEigen:
         assert np.allclose(np.linalg.norm(dec.eigenvectors, axis=0), 1.0)
 
     def test_jordan_block_condition_diverges(self):
+        # both unit eigenvectors are e_1 up to roundoff: V is singular
         dec = eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert np.allclose(dec.eigenvalues, 0.0)
-        assert dec.vector_condition > 1e12
+        v0, v1 = dec.eigenvectors.T
+        assert abs(np.vdot(v0, v1)) >= 1 - 1e-12
 
     def test_cubic_companion(self):
         # x^3 = x factors as x(x-1)(x+1)
         A = build_family(univariate([0.0, 1.0, 0.0])).matrices[0]
         dec = eigen(A)
         assert sorted(dec.eigenvalues.real) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-10)
+
+
+def reference_cluster(values, delta, bound):
+    """Union-find single linkage, one pair at a time: i and j link when
+    |values[i] - values[j]| <= min(delta, bound[i] + bound[j]).  Groups are
+    ordered by their smallest member, members ascending."""
+    k = len(values)
+    values, bound = values.tolist(), bound.tolist()
+    parent = list(range(k))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(values[i] - values[j]) <= min(delta, bound[i] + bound[j]):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def reference_separation(w, bound):
+    """min over pairs of |w_j - w_k| / (bound_j + bound_k), one row of pairs
+    at a time, an undefined ratio counting as 0; None for a single value."""
+    if len(w) < 2:
+        return None
+    with np.errstate(all="ignore"):
+        sep = np.min([np.min(np.abs(w[k + 1:] - w[k]) / (bound[k + 1:] + bound[k]))
+                      for k in range(len(w) - 1)])
+    return 0.0 if np.isnan(sep) else float(sep)
+
+
+def linked_groups(x, delta, bound):
+    """The per-matrix report clusters: the criterion's link rule."""
+    link = (_gap_ratios(x, bound) <= 1.0) & (np.abs(np.subtract.outer(x, x)) <= delta)
+    return [g.tolist() for g in _components(link)]
 
 
 def unit_modulus_system(n, m, seed):
@@ -75,6 +118,53 @@ def unit_square_double_roots():
 def triple_root_system():
     """(x - 1)^3 (x + 1) (x - 2): #I = 5, three distinct roots."""
     return univariate(list(-np.poly([1, 1, 1, -1, 2])[1:][::-1]))
+
+
+class TestSeparationRule:
+    """The gap-ratio matrix and its components against the pair loops."""
+
+    def cases(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            k = int(rng.integers(1, 40))
+            x = rng.normal(size=k) + 1j * rng.normal(size=k)
+            x = x[rng.integers(0, k, size=k)] if rng.random() < 0.3 else x  # exact duplicates
+            bound = 10.0 ** rng.uniform(-3, 0, size=k)
+            kind = rng.integers(0, 4)
+            if kind == 1:
+                bound[rng.random(k) < 0.5] = 0.0  # 0/0 on duplicates
+            elif kind == 2:
+                bound[rng.random(k) < 0.3] = np.inf
+            elif kind == 3:
+                bound[:] = 0.0
+            yield x, float(10.0 ** rng.uniform(-2, 1)), bound
+
+    def test_matches_reference_loops(self):
+        for x, delta, bound in self.cases():
+            assert linked_groups(x, delta, bound) == reference_cluster(x, delta, bound)
+            if len(x) > 1:
+                assert _gap_ratios(x, bound).min() == reference_separation(x, bound)
+
+    def test_single_value(self):
+        assert _gap_ratios(np.array([1j]), np.array([0.0])).tolist() == [[np.inf]]
+        assert linked_groups(np.array([1j]), 1.0, np.array([0.0])) == [[0]]
+
+    def test_undefined_ratio_counts_as_zero(self):
+        # the second and third values coincide with zero bounds: 0/0
+        R = _gap_ratios(np.array([0.0, 1.0, 1.0], dtype=complex), np.array([0.1, 0.0, 0.0]))
+        assert R[1, 2] == R[2, 1] == 0.0 and R.min() == 0.0
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_long_chain_is_one_group(self, shuffle):
+        # neighbours 0.9x the link distance apart: one group only through
+        # 199 links in a row, and many rounds of label propagation
+        bound = np.full(200, 0.5)
+        x = 0.9 * np.arange(200) * (1 + 1j) / abs(1 + 1j)
+        if shuffle:
+            x = x[np.random.default_rng(7).permutation(200)]
+        groups = linked_groups(x, 10.0, bound)
+        assert groups == [list(range(200))] == reference_cluster(x, 10.0, bound)
+        assert len(linked_groups(x / 0.9 * 1.1, 10.0, bound)) == 200
 
 
 class TestSemisimplicity:
@@ -289,7 +379,10 @@ class TestSpectralPass:
         v = criterion(fam)
         assert v.decomposition.eigenvectors.shape == (fam.size, fam.size)
         assert v.coordinates.shape == (fam.size, len(fam))
-        for field in ("decomposition", "coordinates", "error_bounds"):
+        V = v.decomposition.eigenvectors
+        assert v.extraction_residual == max(float(np.max(np.linalg.norm(A @ V - V * z, axis=0)))
+                                            for A, z in zip(fam.matrices, v.coordinates.T))
+        for field in ("decomposition", "coordinates", "error_bounds", "extraction_residual"):
             assert field not in v.to_json()
             assert field not in repr(v)
 
