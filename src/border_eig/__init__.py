@@ -13,7 +13,6 @@ from .indexsets import (
     BorderSet,
     LowerSet,
     border,
-    random_lower_set,
     total_degree_set,
     validate_lower_set,
 )
@@ -22,7 +21,6 @@ from .matrices import build_family, build_matrix, commutation_report
 from .spectral import Config, SolutionSet, criterion, eigen, solve
 from .system import (
     BorderSystem,
-    eval_relation,
     monomial_eval,
     parse_system,
     residual,
@@ -48,12 +46,10 @@ __all__ = [
     "commutation_report",
     "criterion",
     "eigen",
-    "eval_relation",
     "interpolate",
     "monomial_eval",
     "parse_system",
     "poisedness",
-    "random_lower_set",
     "residual",
     "serialize_system",
     "solve",

@@ -2,17 +2,20 @@
 
 Exit codes: 0 success, 1 criterion or accuracy failure (including an
 eigensolver that fails to converge), 2 input error.
-Config precedence: command-line flags, then BORDER_EIG_* environment
-variables, then built-in defaults.  Output is deterministic for identical
-inputs and config.
+Each Config field f is set by the flag --f (dashes for underscores), else
+by the environment variable BORDER_EIG_F, else keeps its default; a float
+must be finite and an int non-negative, or the command exits 2.  Output is
+deterministic for identical inputs and config.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,18 +24,9 @@ from .indexsets import index_set_from_json
 from .interp import parse_nodes, system_from_nodes
 from .matrices import build_family
 from .spectral import Config, criterion, solve
-from .system import parse_system, residual, system_to_json
+from .system import _load_json, parse_system, residual, system_to_json
 
 _ENV_PREFIX = "BORDER_EIG_"
-
-_TOL_FIELDS = [
-    "tol_commute",
-    "tol_cluster",
-    "tol_dedup",
-    "tol_accept",
-    "tol_poised",
-    "tol_eig",
-]
 
 
 def _read_input(path):
@@ -42,35 +36,43 @@ def _read_input(path):
         return fh.read()
 
 
-def _env_overrides():
-    out = {}
-    casts = [(name, float) for name in _TOL_FIELDS] + [("seed", int), ("refine_iters", int), ("size_cap", int)]
-    for name, cast in casts:
-        var = _ENV_PREFIX + name.upper()
-        raw = os.environ.get(var)
-        if raw is not None:
-            try:
-                out[name] = cast(raw)
-            except ValueError:
-                raise SchemaError(f"expected {cast.__name__}, got {raw!r}", var) from None
-    return out
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _cast(raw, kind, source):
+    """A Config value from flag or variable text.  `kind` is the field's type
+    and `source` the flag or variable an error names; a float must be finite
+    and an int non-negative."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)) or (kind is int and value < 0):
+        what = "a finite float" if kind is float else "a non-negative int"
+        raise SchemaError(f"expected {what}, got {raw!r}", source)
+    return value
 
 
 def _config_from_args(args) -> Config:
-    cfg = Config().with_overrides(**_env_overrides())
-    flags = {name: getattr(args, name, None) for name in _TOL_FIELDS}
-    flags["seed"] = getattr(args, "seed", None)
-    flags["refine_iters"] = getattr(args, "refine", None)
-    flags["size_cap"] = getattr(args, "size_cap", None)
-    return cfg.with_overrides(**flags)
+    """Config from the flags, then the BORDER_EIG_* variables (module docstring)."""
+    values = {}
+    for f in fields(Config):
+        raw, source = getattr(args, f.name), _flag(f.name)
+        if raw is None:
+            source = _ENV_PREFIX + f.name.upper()
+            raw = os.environ.get(source)
+        if raw is not None:
+            values[f.name] = _cast(raw, type(f.default), source)
+    return Config(**values)
 
 
-def _emit(obj, fmt, lines=None):
+def _emit(obj, fmt, lines):
     """JSON object on stdout, or the prepared text lines in text mode."""
     if fmt == "json":
         print(json.dumps(obj, indent=2))
     else:
-        for line in lines or []:
+        for line in lines:
             print(line)
 
 
@@ -80,12 +82,12 @@ def _fail(exc, code=2):
     return code
 
 
-def cmd_check(args) -> int:
-    cfg = _config_from_args(args)
-    try:
-        sys_ = parse_system(_read_input(args.system), cfg.size_cap)
-    except (OSError, BorderEigError) as exc:
-        return _fail(exc)
+# Each command reads its inputs and returns (exit code, JSON object, text
+# lines); main writes them, or the error that reading raised.
+
+
+def cmd_check(args, cfg):
+    sys_ = parse_system(_read_input(args.system), cfg.size_cap)
     verdict = criterion(build_family(sys_), cfg)
     report = {
         "verdict": verdict.to_json(),
@@ -98,18 +100,12 @@ def cmd_check(args) -> int:
         f"all_semisimple: {verdict.all_semisimple} (separation {verdict.separation})",
         f"maximal: {verdict.maximal}",
     ]
-    _emit(report, args.format, lines)
-    return 0 if verdict.maximal else 1
+    return (0 if verdict.maximal else 1), report, lines
 
 
-def cmd_solve(args) -> int:
-    cfg = _config_from_args(args)
-    try:
-        sys_ = parse_system(_read_input(args.system), cfg.size_cap)
-    except (OSError, BorderEigError) as exc:
-        return _fail(exc)
+def cmd_solve(args, cfg):
+    sys_ = parse_system(_read_input(args.system), cfg.size_cap)
     sol = solve(sys_, cfg)
-    out = sol.to_json()
     lines = [
         f"strategy: {sol.strategy}",
         f"maximal: {sol.verdict.maximal}",
@@ -120,49 +116,35 @@ def cmd_solve(args) -> int:
         + f"   residual {r:.3e}"
         for z, r in zip(sol.roots, sol.residuals)
     ]
-    _emit(out, args.format, lines)
     ok = sol.verdict.maximal and not any(sol.flagged)
-    return 0 if ok else 1
+    return (0 if ok else 1), sol.to_json(), lines
 
 
-def cmd_from_points(args) -> int:
-    cfg = _config_from_args(args)
-    try:
-        spec = args.index_set
-        raw = spec.encode() if spec.lstrip().startswith("{") else _read_input(spec)
-        I = index_set_from_json(json.loads(raw), cfg.size_cap)
-        nodes = parse_nodes(_read_input(args.points), I.dimension)
-    except json.JSONDecodeError as exc:
-        return _fail(SchemaError(f"invalid JSON: {exc}"))
-    except (OSError, BorderEigError) as exc:
-        return _fail(exc)
+def cmd_from_points(args, cfg):
+    spec = args.index_set
+    I = index_set_from_json(
+        _load_json(spec.encode() if spec.lstrip().startswith("{") else _read_input(spec)),
+        cfg.size_cap,
+    )
+    nodes = parse_nodes(_read_input(args.points), I.dimension)
     try:
         sys_ = system_from_nodes(I, nodes, cfg.tol_poised)
     except UnisolvenceError as exc:
         obj = {"error": "UnisolvenceError", "message": str(exc)}
         if exc.report is not None:
             obj["poisedness"] = exc.report.to_json()
-        _emit(obj, args.format, [f"not poised: {exc}"])
-        return 1
+        return 1, obj, [f"not poised: {exc}"]
     except ValueError as exc:
-        return _fail(exc)
+        return _fail(exc), None, None
     out = system_to_json(sys_)
     report = sys_.poisedness
     out["poisedness"] = report.to_json()
-    _emit(out, args.format, [f"poised (condition {report.condition:.3e}); system has {len(sys_.J)} relations"])
-    return 0
+    return 0, out, [f"poised (condition {report.condition:.3e}); system has {len(sys_.J)} relations"]
 
 
-def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    try:
-        sys_ = parse_system(_read_input(args.system), cfg.size_cap)
-        obj = json.loads(_read_input(args.roots))
-        roots = _roots_from_json(obj, sys_.dimension)
-    except json.JSONDecodeError as exc:
-        return _fail(SchemaError(f"invalid JSON: {exc}"))
-    except (OSError, BorderEigError) as exc:
-        return _fail(exc)
+def cmd_verify(args, cfg):
+    sys_ = parse_system(_read_input(args.system), cfg.size_cap)
+    roots = _roots_from_json(_load_json(_read_input(args.roots)), sys_.dimension)
     res = residual(sys_, np.array(roots).reshape(len(roots), sys_.dimension)).tolist()
     rows = [{"z": [[c.real, c.imag] for c in z], "residual": r} for z, r in zip(roots, res)]
     ok = all(row["residual"] <= cfg.tol_accept for row in rows)
@@ -172,8 +154,7 @@ def cmd_verify(args) -> int:
         + f"   residual {row['residual']:.3e}"
         for z, row in zip(roots, rows)
     ] + [f"all_pass: {ok}"]
-    _emit(out, args.format, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), out, lines
 
 
 def _roots_from_json(obj, n):
@@ -199,12 +180,8 @@ def _roots_from_json(obj, n):
     raise SchemaError("expected a 'roots' or 'points' object")
 
 
-def cmd_matrices(args) -> int:
-    cfg = _config_from_args(args)
-    try:
-        sys_ = parse_system(_read_input(args.system), cfg.size_cap)
-    except (OSError, BorderEigError) as exc:
-        return _fail(exc)
+def cmd_matrices(args, cfg):
+    sys_ = parse_system(_read_input(args.system), cfg.size_cap)
     fam = build_family(sys_)
     out = {
         "basis": [list(b) for b in sys_.I.members],
@@ -215,9 +192,7 @@ def cmd_matrices(args) -> int:
         "unit_row_count": fam.unit_row_count,
         "coeff_row_count": fam.coeff_row_count,
     }
-    lines = [f"{len(fam)} matrices of size {fam.size}x{fam.size}"]
-    _emit(out, args.format, lines)
-    return 0
+    return 0, out, [f"{len(fam)} matrices of size {fam.size}x{fam.size}"]
 
 
 def build_parser():
@@ -228,11 +203,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        for name in _TOL_FIELDS:
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--refine", type=int, default=None, metavar="K")
-        p.add_argument("--size-cap", dest="size_cap", type=int, default=None)
+        for f in fields(Config):  # read as text; _config_from_args casts
+            p.add_argument(_flag(f.name), dest=f.name)
         p.add_argument("--format", choices=["json", "text"], default="json")
 
     p = sub.add_parser("check", help="decide the commuting + semisimple criterion")
@@ -268,11 +240,13 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code, out, lines = args.func(args, _config_from_args(args))
     except EigenConvergenceError as exc:
-        code = _fail(exc, 1)  # a numerical failure, not bad input
-    except BorderEigError as exc:
-        code = _fail(exc)
+        code, out = _fail(exc, 1), None  # a numerical failure, not bad input
+    except (OSError, BorderEigError) as exc:  # an input that cannot be read or parsed
+        code, out = _fail(exc), None
+    if out is not None:  # written outside the try: a failed write is not an input error
+        _emit(out, args.format, lines)
     if argv is None:
         _sys.exit(code)
     return code

@@ -209,28 +209,6 @@ def border(I: LowerSet, size_cap: int = DEFAULT_SIZE_CAP) -> BorderSet:
     return BorderSet(members, generators)
 
 
-def random_lower_set(n: int, steps: int, rng) -> LowerSet:
-    """Grow a random lower set from {0} by repeatedly absorbing a border element.
-
-    Only border elements with every predecessor already present are
-    eligible, so closure holds by construction; used for randomized
-    property tests.
-    """
-    current = total_degree_set(n, 0)
-    for _ in range(steps):
-        b = border(current)
-        eligible = [
-            alpha
-            for alpha in b.members
-            if all(alpha[i] == 0 or sub_unit(alpha, i) in current for i in range(n))
-        ]
-        pick = eligible[rng.integers(len(eligible))]
-        members = current.members + [pick]
-        members.sort(key=grlex_key)
-        current = LowerSet(n, members, {a: k for k, a in enumerate(members)})
-    return current
-
-
 def index_set_from_json(obj, size_cap: int = DEFAULT_SIZE_CAP) -> LowerSet:
     """Build a LowerSet from its JSON description.
 

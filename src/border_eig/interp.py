@@ -8,7 +8,6 @@ exactly those nodes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import scipy.linalg
 
 from .errors import SchemaError, UnisolvenceError
 from .indexsets import LowerSet, _as_int, border
-from .system import BorderSystem, _as_complex, monomial_eval
+from .system import BorderSystem, _as_complex, _load_json, monomial_eval
 
 
 @dataclass
@@ -129,8 +128,4 @@ def nodes_from_json(obj, n_expected=None) -> list[np.ndarray]:
 
 
 def parse_nodes(text, n_expected=None):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return nodes_from_json(obj, n_expected)
+    return nodes_from_json(_load_json(text), n_expected)

@@ -24,7 +24,7 @@ and `_dedup` merges unseparated eigenvalues' roots at a looser cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,16 +56,8 @@ class Config:
     tol_eig: float = 1e-8
     # seeds the coefficients of the generic combination M
     seed: int = 42
-    # Gauss-Newton polish takes at most refine_iters steps per root (0 turns
-    # it off).  A root stops at its first step that would raise its residual
-    # or leave a non-finite coordinate (that step is discarded), and once its
-    # residual is exactly 0.
-    refine_iters: int = 3
     # largest index set or border accepted from an input
     size_cap: int = DEFAULT_SIZE_CAP
-
-    def with_overrides(self, **kwargs):
-        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 
 @dataclass
@@ -263,32 +255,26 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
                    max(extraction))
 
 
-def _gauss_newton(sys: BorderSystem, Z: np.ndarray, iters: int) -> np.ndarray:
-    """Gauss-Newton polish of every root (the rows of Z) together.
+def _gauss_newton(sys: BorderSystem, Z: np.ndarray) -> np.ndarray:
+    """One Gauss-Newton step for every root (the rows of Z) together.
 
-    Each step solves one least-squares problem per root against the batched
-    relation Jacobian; the stopping rule is the one documented on
-    Config.refine_iters, applied root by root.
+    Each root solves one least-squares problem against the batched relation
+    Jacobian.  A root keeps its step only when the step is finite and does
+    not raise its residual; a root whose residual is exactly 0 takes no step.
     """
-    Z = Z.copy()
     current = residual(sys, Z)
     live = np.flatnonzero(current > 0.0)
-    for _ in range(iters):
-        if live.size == 0:
-            break
-        at = Z[live]
-        r = relation_values(sys, at)
-        jac = relation_jacobian(sys, at)
-        steps = [np.linalg.lstsq(J, -v, rcond=None)[0] for J, v in zip(jac, r)]
-        cand = at + np.array(steps)
-        finite = np.all(np.isfinite(cand), axis=1)
-        cand_res = np.full(live.size, np.inf)
-        with np.errstate(over="ignore", invalid="ignore"):
-            cand_res[finite] = residual(sys, cand[finite])
-        take = cand_res <= current[live]
-        Z[live[take]] = cand[take]
-        current[live[take]] = cand_res[take]
-        live = live[take & (cand_res > 0.0)]
+    at = Z[live]
+    steps = [np.linalg.lstsq(J, -v, rcond=None)[0]
+             for J, v in zip(relation_jacobian(sys, at), relation_values(sys, at))]
+    cand = at + np.reshape(steps, at.shape)
+    finite = np.all(np.isfinite(cand), axis=1)
+    cand_res = np.full(live.size, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cand_res[finite] = residual(sys, cand[finite])
+    take = cand_res <= current[live]
+    Z = Z.copy()
+    Z[live[take]] = cand[take]
     return Z
 
 
@@ -314,16 +300,15 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
     """Recover the solutions of a border system from the criterion's eigenbasis.
 
     The candidate roots are the coordinates `criterion` read off the
-    eigenvectors of its generic combination M; then optional Gauss-Newton
-    polish and deduplication.  The strategy is "generic", or
+    eigenvectors of its generic combination M; then one Gauss-Newton step
+    (`_gauss_newton`) and deduplication.  The strategy is "generic", or
     "generic-degenerate" when M's spectrum is not simple.
     """
     fam = build_family(sys)
     verdict = criterion(fam, cfg)
     dec, Z = verdict.decomposition, verdict.coordinates
     degenerate = not verdict.all_semisimple
-    if cfg.refine_iters > 0:
-        Z = _gauss_newton(sys, Z, cfg.refine_iters)
+    Z = _gauss_newton(sys, Z)
 
     keep = _dedup(Z, cfg.tol_dedup, dec.eigenvalues, verdict.error_bounds)
     roots = list(Z[keep])

@@ -97,12 +97,6 @@ def basis_values(I: LowerSet, z) -> np.ndarray:
     return monomial_eval(I.exponents, z)
 
 
-def eval_relation(sys: BorderSystem, alpha, z) -> complex:
-    """P_alpha(z) = z^alpha - sum_beta a[alpha, beta] z^beta."""
-    row = sys.relation_row(alpha)
-    return monomial_eval(alpha, z) - row @ basis_values(sys.I, z)
-
-
 def _basis_and_relations(sys: BorderSystem, z):
     v = basis_values(sys.I, z)
     return v, monomial_eval(sys.J.exponents, z) - v @ sys.coeffs.T
@@ -208,13 +202,17 @@ def system_from_json(obj, size_cap=None) -> BorderSystem:
     return BorderSystem(I, J, coeffs)
 
 
+def _load_json(text):
+    """json.loads; text that is not JSON, or bytes that do not decode, raise SchemaError."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
 def parse_system(text, size_cap=None) -> BorderSystem:
     """Parse a system from JSON text or bytes."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return system_from_json(obj, size_cap)
+    return system_from_json(_load_json(text), size_cap)
 
 
 def system_to_json(sys: BorderSystem) -> dict:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from border_eig import system_from_nodes, total_degree_set
+from border_eig import LowerSet, border, system_from_nodes, total_degree_set
+from border_eig.indexsets import grlex_key, sub_unit
 
 
 def random_separated_nodes(rng, n, count, sep=1e-2, box=1.0):
@@ -17,6 +18,25 @@ def random_separated_nodes(rng, n, count, sep=1e-2, box=1.0):
         if attempts > 100 * count:
             raise RuntimeError("node sampling failed to separate")
     return [z.astype(complex) for z in nodes]
+
+
+def random_lower_set(n, steps, rng):
+    """Grow a random lower set from {0} by repeatedly absorbing a border element.
+
+    Only border elements with every predecessor already present are
+    eligible, so closure holds by construction.
+    """
+    current = total_degree_set(n, 0)
+    for _ in range(steps):
+        eligible = [
+            alpha
+            for alpha in border(current).members
+            if all(alpha[i] == 0 or sub_unit(alpha, i) in current for i in range(n))
+        ]
+        pick = eligible[rng.integers(len(eligible))]
+        members = sorted(current.members + [pick], key=grlex_key)
+        current = LowerSet(n, members, {a: k for k, a in enumerate(members)})
+    return current
 
 
 def matching_error(roots, nodes):

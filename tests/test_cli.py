@@ -1,12 +1,13 @@
 import io
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from border_eig import serialize_system, system_from_nodes, total_degree_set
-from border_eig.cli import main
+from border_eig import Config, serialize_system
+from border_eig.cli import _config_from_args, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -335,7 +336,7 @@ class TestConfig:
     @pytest.mark.parametrize("var, value", [
         ("BORDER_EIG_SEED", "abc"),
         ("BORDER_EIG_TOL_COMMUTE", "x"),
-        ("BORDER_EIG_REFINE_ITERS", "1.5"),
+        ("BORDER_EIG_SIZE_CAP", "1.5"),
     ])
     def test_malformed_env_var_exits_two(self, capsys, idempotent_file, monkeypatch, var, value):
         monkeypatch.setenv(var, value)
@@ -344,3 +345,83 @@ class TestConfig:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "SchemaError" and var in error["message"]
+
+    @pytest.mark.parametrize("flags, env, source", [
+        (["--tol-commute", "nan"], {}, "--tol-commute"),
+        ([], {"BORDER_EIG_TOL_COMMUTE": "nan"}, "BORDER_EIG_TOL_COMMUTE"),
+        (["--tol-poised", "nan"], {}, "--tol-poised"),
+        (["--tol-poised", "inf"], {}, "--tol-poised"),
+        (["--seed", "-1"], {}, "--seed"),
+        ([], {"BORDER_EIG_SEED": "-5"}, "BORDER_EIG_SEED"),
+        (["--size-cap", "1.5"], {}, "--size-cap"),
+    ], ids=["flag-nan", "env-nan", "from-points-nan", "from-points-inf", "flag-negative-int",
+            "env-negative-int", "flag-float-for-int"])
+    def test_bad_knob_exits_two(self, capsys, tmp_path, x2_is_1_file, monkeypatch, flags, env, source):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        if "--tol-poised" in flags:
+            pts = tmp_path / "pts.json"
+            pts.write_text('{"n": 1, "points": [[-1], [1]]}')
+            argv = ["from-points", "--index-set", '{"type": "total_degree", "n": 1, "m": 1}',
+                    "--points", str(pts)]
+        else:
+            argv = ["check", x2_is_1_file]
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "SchemaError" and source in error["message"]
+
+    @pytest.mark.parametrize("command", ["check", "solve", "from-points", "verify", "matrices"])
+    def test_every_field_has_a_flag_and_a_variable(self, monkeypatch, command):
+        positional = {"from-points": ["--index-set", "{}", "--points", "p.json"],
+                      "verify": ["s.json", "r.json"]}.get(command, ["s.json"])
+        parser = build_parser()
+        for f in fields(Config):
+            text = "0.5" if isinstance(f.default, float) else "7"
+            flag, var = "--" + f.name.replace("_", "-"), "BORDER_EIG_" + f.name.upper()
+            cfg = _config_from_args(parser.parse_args([command, *positional, flag, text]))
+            assert getattr(cfg, f.name) == type(f.default)(text) != f.default
+            monkeypatch.setenv(var, text)
+            cfg = _config_from_args(parser.parse_args([command, *positional]))
+            assert getattr(cfg, f.name) == type(f.default)(text)
+            monkeypatch.delenv(var)
+
+    def test_refine_flag_is_gone(self, capsys, x2_is_1_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", x2_is_1_file, "--refine", "1"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{missing}"],
+    ["solve", "{missing}"],
+    ["matrices", "{missing}"],
+    ["verify", "{system}", "{missing}"],
+    ["from-points", "--index-set", '{{"type": "total_degree", "n": 1, "m": 1}}', "--points", "{missing}"],
+])
+def test_unreadable_input_exits_two(capsys, tmp_path, x2_is_1_file, argv):
+    missing = str(tmp_path / "absent.json")
+    argv = [a.format(missing=missing, system=x2_is_1_file) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def test_failed_write_is_not_an_input_error(x2_is_1_file, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["solve", x2_is_1_file])
+
+
+def test_undecodable_input_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 2
+    assert json.loads(err)["error"] == "SchemaError"

@@ -10,11 +10,11 @@ from border_eig import (
     LowerSetError,
     SizeLimitError,
     border,
-    random_lower_set,
     total_degree_set,
     validate_lower_set,
 )
 from border_eig.indexsets import grlex_key, index_set_from_json
+from conftest import random_lower_set
 
 
 def brute_total_degree(n, m):

@@ -329,17 +329,17 @@ class TestSolve:
         rng = np.random.default_rng(31)
         I = total_degree_set(2, 2)
         s = system_from_nodes(I, random_separated_nodes(rng, 2, len(I), sep=0.15))
-        raw = solve(s, Config(refine_iters=0))
-        polished = solve(s, Config(refine_iters=3))
-        assert max(polished.residuals) <= max(raw.residuals) + 1e-14
+        raw = residual(s, criterion(build_family(s)).coordinates)
+        polished = solve(s)
+        assert max(polished.residuals) <= max(raw) + 1e-14
 
     def test_refinement_stopping_rule(self):
         # x^2 = 1: from 1e-3 the Newton step lands near 500 and raises the
-        # residual, so that root stays put; 0.99 converges; 1 is exact
+        # residual, so that root stays put; 0.99 takes the Newton step; 1 is exact
         s = univariate([1.0, 0.0])
-        out = _gauss_newton(s, np.array([[1e-3], [0.99], [1.0]], dtype=complex), 3)
+        out = _gauss_newton(s, np.array([[1e-3], [0.99], [1.0]], dtype=complex))
         assert out[0, 0] == 1e-3
-        assert abs(out[1, 0] - 1.0) <= 1e-12
+        assert abs(out[1, 0] - (0.99**2 + 1) / 1.98) <= 1e-15
         assert out[2, 0] == 1.0
 
     def test_maximal_iff_distinct_count(self):
@@ -454,9 +454,9 @@ class TestSolveBeyondSmallSets:
 
     def test_refinement_non_worsening_per_root(self, case):
         s, _ = case
-        raw = solve(s, Config(refine_iters=0))
-        polished = solve(s, Config(refine_iters=3))
+        raw = residual(s, criterion(build_family(s)).coordinates)
+        polished = solve(s)
         # same eigenbasis, and no duplicates dropped, so roots pair up by position
-        assert len(raw.roots) == len(polished.roots) == 56
-        for r0, r3 in zip(raw.residuals, polished.residuals):
-            assert r3 <= r0
+        assert len(raw) == len(polished.residuals) == 56
+        for r0, r1 in zip(raw, polished.residuals):
+            assert r1 <= r0
