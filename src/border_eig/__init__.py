@@ -17,7 +17,7 @@ from .indexsets import (
     validate_lower_set,
 )
 from .interp import interpolate, poisedness, system_from_nodes, vandermonde
-from .matrices import build_family, build_matrix, commutation_report
+from .matrices import build_family, commutation_report
 from .spectral import Config, SolutionSet, criterion, eigen, solve
 from .system import (
     BorderSystem,
@@ -42,7 +42,6 @@ __all__ = [
     "UnknownRelationError",
     "border",
     "build_family",
-    "build_matrix",
     "commutation_report",
     "criterion",
     "eigen",

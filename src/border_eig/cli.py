@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BorderEigError, EigenConvergenceError, SchemaError, UnisolvenceError
 from .indexsets import index_set_from_json
-from .interp import parse_nodes, system_from_nodes
+from .interp import _coordinates, nodes_from_json, parse_nodes, system_from_nodes
 from .matrices import build_family
 from .spectral import Config, criterion, solve
 from .system import _load_json, parse_system, residual, system_to_json
@@ -159,21 +159,14 @@ def cmd_verify(args, cfg):
 
 def _roots_from_json(obj, n):
     """Accept solve output ({"roots": [{"z": ...}]}) or a points file."""
-    from .interp import nodes_from_json
-    from .system import _as_complex
-
     if isinstance(obj, dict) and "roots" in obj:
+        if not isinstance(obj["roots"], list):
+            raise SchemaError("must be an array", "roots")
         roots = []
         for k, entry in enumerate(obj["roots"]):
-            path = f"roots[{k}]"
             if not isinstance(entry, dict) or "z" not in entry:
-                raise SchemaError("expected an object with 'z'", path)
-            z = entry["z"]
-            if not isinstance(z, list) or len(z) != n:
-                raise SchemaError(f"expected {n} coordinates", f"{path}.z")
-            roots.append(
-                np.array([_as_complex(c, f"{path}.z[{j}]") for j, c in enumerate(z)])
-            )
+                raise SchemaError("expected an object with 'z'", f"roots[{k}]")
+            roots.append(_coordinates(entry["z"], n, f"roots[{k}].z"))
         return roots
     if isinstance(obj, dict) and "points" in obj:
         return nodes_from_json(obj, n)

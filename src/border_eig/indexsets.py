@@ -48,16 +48,9 @@ def sub_unit(alpha: MultiIndex, i: int) -> MultiIndex:
     return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
 
 
-def _exponent_array(members, n: int) -> np.ndarray:
-    """Read-only (len(members), n) integer array of the exponent vectors."""
-    E = np.array(members, dtype=np.intp).reshape(len(members), n)
-    E.flags.writeable = False
-    return E
-
-
 @dataclass
-class LowerSet:
-    """A downward-closed set of multi-indices in canonical (graded lex) order."""
+class _IndexedSet:
+    """Multi-indices in canonical order; position maps each member to its index."""
 
     dimension: int
     members: list[MultiIndex]
@@ -72,15 +65,21 @@ class LowerSet:
     def __iter__(self):
         return iter(self.members)
 
+    @functools.cached_property
+    def exponents(self) -> np.ndarray:
+        """The members as a read-only (len, n) integer array, canonical order."""
+        E = np.array(self.members, dtype=np.intp).reshape(len(self), self.dimension)
+        E.flags.writeable = False
+        return E
+
+
+class LowerSet(_IndexedSet):
+    """A downward-closed set of multi-indices in canonical (graded lex) order."""
+
     def __eq__(self, other):
         if not isinstance(other, LowerSet):
             return NotImplemented
         return self.dimension == other.dimension and self.members == other.members
-
-    @functools.cached_property
-    def exponents(self) -> np.ndarray:
-        """E_I: the members as a read-only (#I, n) integer array, canonical order."""
-        return _exponent_array(self.members, self.dimension)
 
     def max_degree(self) -> int:
         return max(total_degree(a) for a in self.members)
@@ -100,30 +99,8 @@ class LowerSet:
         }
 
 
-@dataclass
-class BorderSet:
-    """Indices one step outside a lower set, with one recorded generator each.
-
-    generators maps each border index alpha to a pair (beta, i) with
-    alpha = beta + e_i and beta in the parent lower set.
-    """
-
-    members: list[MultiIndex]
-    generators: dict[MultiIndex, tuple[MultiIndex, int]]
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, alpha):
-        return tuple(alpha) in self.generators
-
-    def __iter__(self):
-        return iter(self.members)
-
-    @functools.cached_property
-    def exponents(self) -> np.ndarray:
-        """E_J: the members as a read-only (#J, n) integer array, canonical order."""
-        return _exponent_array(self.members, len(self.members[0]))
+class BorderSet(_IndexedSet):
+    """The indices one step outside a lower set, in canonical order."""
 
 
 def _degree_slices(n, total):
@@ -192,21 +169,19 @@ def border(I: LowerSet, size_cap: int = DEFAULT_SIZE_CAP) -> BorderSet:
     """The border {beta + e_i : beta in I, beta + e_i not in I}.
 
     For a total-degree set of degree m this is exactly {alpha : |alpha| = m+1}.
-    One generating pair (beta, i) is recorded per border element: the first
-    one encountered when scanning I in canonical order, coordinates ascending.
     """
     if len(I) == 0:
         raise ValueError("lower set is empty")
-    generators: dict[MultiIndex, tuple[MultiIndex, int]] = {}
+    found = set()
     for beta in I.members:
         for i in range(I.dimension):
             alpha = add_unit(beta, i)
-            if alpha not in I and alpha not in generators:
-                generators[alpha] = (beta, i)
-    if len(generators) > size_cap:
-        raise SizeLimitError(f"border has {len(generators)} elements, cap is {size_cap}")
-    members = sorted(generators, key=grlex_key)
-    return BorderSet(members, generators)
+            if alpha not in I:
+                found.add(alpha)
+    if len(found) > size_cap:
+        raise SizeLimitError(f"border has {len(found)} elements, cap is {size_cap}")
+    members = sorted(found, key=grlex_key)
+    return BorderSet(I.dimension, members, {a: k for k, a in enumerate(members)})
 
 
 def index_set_from_json(obj, size_cap: int = DEFAULT_SIZE_CAP) -> LowerSet:

@@ -106,6 +106,13 @@ def system_from_nodes(I: LowerSet, nodes, tol: float = 1e-10) -> BorderSystem:
     return BorderSystem(I, J, coeffs, poisedness=report)
 
 
+def _coordinates(value, n, path) -> np.ndarray:
+    """One point at path: an array of n numbers or [re, im] pairs."""
+    if not isinstance(value, list) or len(value) != n:
+        raise SchemaError(f"expected {n} coordinates", path)
+    return np.array([_as_complex(c, f"{path}[{j}]") for j, c in enumerate(value)])
+
+
 def nodes_from_json(obj, n_expected=None) -> list[np.ndarray]:
     """Parse {"n": ..., "points": [[...], ...]}; bare reals accepted."""
     if not isinstance(obj, dict) or "points" not in obj:
@@ -116,15 +123,7 @@ def nodes_from_json(obj, n_expected=None) -> list[np.ndarray]:
     points = obj["points"]
     if not isinstance(points, list):
         raise SchemaError("must be an array", "points")
-    out = []
-    for s, pt in enumerate(points):
-        path = f"points[{s}]"
-        if not isinstance(pt, list) or len(pt) != n:
-            raise SchemaError(f"expected {n} coordinates", path)
-        out.append(
-            np.array([_as_complex(c, f"{path}[{j}]") for j, c in enumerate(pt)])
-        )
-    return out
+    return [_coordinates(pt, n, f"points[{s}]") for s, pt in enumerate(points)]
 
 
 def parse_nodes(text, n_expected=None):

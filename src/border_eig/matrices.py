@@ -2,8 +2,8 @@
 
 A_i represents multiplication by x_i on span{x^beta : beta in I}, with any
 product landing outside I rewritten through the border relations.  Row
-beta of A_i is either a unit row (when beta + e_i stays in I) or the
-coefficient row of the relation for beta + e_i.
+beta of A_i is the normal form of x_i x^beta: a unit row when beta + e_i
+stays in I, else the coefficient row of the relation for beta + e_i.
 """
 
 from __future__ import annotations
@@ -48,37 +48,21 @@ class CommutationReport:
         }
 
 
-def build_matrix(sys: BorderSystem, i: int) -> np.ndarray:
-    """Multiplication matrix for coordinate i (0-based).
+def build_family(sys: BorderSystem) -> MultMatrixFamily:
+    """All n multiplication matrices, gathered from the stacked normal forms.
 
-    Row indexed by beta is the expansion of x_i * x^beta over the basis:
-    a single 1 at position(beta + e_i) when the shift stays inside I, the
-    stored coefficient row when it crosses into the border.
+    normal_forms stacks the normal forms of the monomials of I (unit rows)
+    and then of J (the coefficient rows).  shifts[i, r] is the row of
+    beta_r + e_i in that stack, so A_i = normal_forms[shifts[i]]; a J that
+    is not the border of I raises KeyError.
     """
     I, J = sys.I, sys.J
     size = len(I)
-    A = np.zeros((size, size), dtype=complex)
-    for r, beta in enumerate(I.members):
-        shifted = add_unit(beta, i)
-        if shifted in I:
-            A[r, I.position[shifted]] = 1.0
-        elif shifted in J:
-            A[r] = sys.relation_row(shifted)
-        else:
-            # unreachable when J = border(I)
-            raise AssertionError(f"{shifted} neither in I nor in its border")
-    return A
-
-
-def build_family(sys: BorderSystem) -> MultMatrixFamily:
-    """All n multiplication matrices with unit/coefficient row counts."""
-    matrices, units, coeffs = [], [], []
-    for i in range(sys.dimension):
-        matrices.append(build_matrix(sys, i))
-        inside = sum(1 for beta in sys.I.members if add_unit(beta, i) in sys.I)
-        units.append(inside)
-        coeffs.append(len(sys.I) - inside)
-    return MultMatrixFamily(matrices, units, coeffs)
+    normal_forms = np.vstack([np.eye(size, dtype=complex), sys.coeffs])
+    row = {**I.position, **{alpha: size + r for alpha, r in J.position.items()}}
+    shifts = np.array([[row[add_unit(beta, i)] for beta in I] for i in range(sys.dimension)])
+    units = np.count_nonzero(shifts < size, axis=1).tolist()
+    return MultMatrixFamily(list(normal_forms[shifts]), units, [size - u for u in units])
 
 
 def commutation_report(fam: MultMatrixFamily, tol: float) -> CommutationReport:

@@ -46,7 +46,6 @@ class BorderSystem:
             )
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite coefficient")
-        self._row = {alpha: r for r, alpha in enumerate(self.J.members)}
 
     @property
     def dimension(self):
@@ -54,9 +53,9 @@ class BorderSystem:
 
     def relation_row(self, alpha) -> np.ndarray:
         alpha = tuple(alpha)
-        if alpha not in self._row:
+        if alpha not in self.J:
             raise UnknownRelationError(f"{alpha} is not a border index of this system")
-        return self.coeffs[self._row[alpha]]
+        return self.coeffs[self.J.position[alpha]]
 
 
 def monomial_eval(beta, z):
@@ -167,7 +166,6 @@ def system_from_json(obj, size_cap=None) -> BorderSystem:
         raise SchemaError("missing or non-array field", "relations")
     coeffs = np.zeros((len(J), len(I)), dtype=complex)
     seen = set()
-    row_of = {alpha: r for r, alpha in enumerate(J.members)}
     for k, rel in enumerate(relations):
         path = f"relations[{k}]"
         if not isinstance(rel, dict) or "alpha" not in rel or "coeffs" not in rel:
@@ -177,7 +175,7 @@ def system_from_json(obj, size_cap=None) -> BorderSystem:
         alpha = tuple(_as_int(a, f"{path}.alpha[{j}]") for j, a in enumerate(rel["alpha"]))
         if alpha in I:
             raise SchemaError(f"alpha {list(alpha)} inside I", f"{path}.alpha")
-        if alpha not in row_of:
+        if alpha not in J:
             raise SchemaError(
                 f"alpha {list(alpha)} is not in the border of I", f"{path}.alpha"
             )
@@ -190,7 +188,7 @@ def system_from_json(obj, size_cap=None) -> BorderSystem:
             raise SchemaError(
                 f"coefficient row has length {got}, expected {len(I)}", f"{path}.coeffs"
             )
-        coeffs[row_of[alpha]] = [
+        coeffs[J.position[alpha]] = [
             _as_complex(c, f"{path}.coeffs[{j}]") for j, c in enumerate(row)
         ]
     missing = [a for a in J.members if a not in seen]

@@ -308,6 +308,27 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["roots"] == []
 
+    @pytest.mark.parametrize(
+        "roots, path",
+        [
+            ({"roots": 5}, "roots"),
+            ({"roots": None}, "roots"),
+            ({"roots": {"z": [1]}}, "roots"),
+            ({"roots": [{"z": [1, 2]}]}, "roots[0].z"),
+            ({"roots": [{"z": ["a"]}]}, "roots[0].z[0]"),
+        ],
+        ids=["number", "null", "object", "too-many-coordinates", "string-coordinate"],
+    )
+    def test_malformed_roots_exit_two(self, capsys, x2_is_1_file, tmp_path, roots, path):
+        file = tmp_path / "roots.json"
+        file.write_text(json.dumps(roots))
+        code, out, err = run_cli(capsys, "verify", x2_is_1_file, str(file))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        assert error["message"].startswith(path + ": ")
+
 
 class TestMatrices:
     def test_dump_shape(self, capsys, idempotent_file):

@@ -13,7 +13,7 @@ from border_eig import (
     total_degree_set,
     validate_lower_set,
 )
-from border_eig.indexsets import grlex_key, index_set_from_json
+from border_eig.indexsets import grlex_key, index_set_from_json, sub_unit
 from conftest import random_lower_set
 
 
@@ -92,13 +92,15 @@ class TestBorder:
         I = validate_lower_set(list(product((0, 1), repeat=2)), 2)
         assert set(border(I).members) == {(2, 0), (2, 1), (1, 2), (0, 2)}
 
-    def test_generators_are_valid(self):
-        I = total_degree_set(3, 2)
-        J = border(I)
-        for alpha in J.members:
-            beta, i = J.generators[alpha]
-            assert beta in I
-            assert tuple(b + (1 if k == i else 0) for k, b in enumerate(beta)) == alpha
+    def test_members_have_a_parent_and_a_position(self):
+        for I in (total_degree_set(3, 2), validate_lower_set([(0, 0), (1, 0), (2, 0), (0, 1)], 2)):
+            J = border(I)
+            for alpha in J.members:
+                assert any(alpha[i] > 0 and sub_unit(alpha, i) in I for i in range(I.dimension))
+            for X in (I, J):
+                assert X.dimension == I.dimension
+                for a in X.members:
+                    assert X.position[a] == X.members.index(a)
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (3, 2), (4, 1)])
     def test_border_count_matches_slice_oracle(self, n, m):

@@ -2,20 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from border_eig import (
     BorderSystem,
     border,
     build_family,
-    build_matrix,
     commutation_report,
+    poisedness,
     residual,
     system_from_nodes,
     total_degree_set,
 )
 from border_eig.system import basis_values
 
-from conftest import random_separated_nodes
+from conftest import random_lower_set, random_separated_nodes
 
 
 def univariate(coeff_row):
@@ -37,15 +39,15 @@ class TestBuildMatrix:
     def test_univariate_companion(self):
         a0, a1 = 0.75, -0.25
         s = univariate([a0, a1])
-        A = build_matrix(s, 0)
+        A = build_family(s).matrices[0]
         assert np.array_equal(A, np.array([[0, 1], [a0, a1]], dtype=complex))
         # characteristic polynomial x^2 - a1 x - a0, checked via trace/det
         assert np.trace(A) == pytest.approx(a1)
         assert np.linalg.det(A) == pytest.approx(-a0)
 
     def test_idempotent_pair(self, idempotent_system):
-        A1 = build_matrix(idempotent_system, 0)
-        A2 = build_matrix(idempotent_system, 1)
+        A1 = build_family(idempotent_system).matrices[0]
+        A2 = build_family(idempotent_system).matrices[1]
         assert np.allclose(A1, [[0, 1, 0], [0, 1, 0], [0, 0, 0]])
         assert np.allclose(A2, [[0, 0, 1], [0, 0, 0], [0, 0, 1]])
         assert np.allclose(A1 @ A2, 0)
@@ -53,8 +55,8 @@ class TestBuildMatrix:
 
     def test_noncommuting_pair(self):
         s = noncommuting_system()
-        A1 = build_matrix(s, 0)
-        A2 = build_matrix(s, 1)
+        A1 = build_family(s).matrices[0]
+        A2 = build_family(s).matrices[1]
         assert np.allclose(A1, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         assert np.allclose(A2, [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
         assert not np.allclose(A1 @ A2, A2 @ A1)
@@ -100,13 +102,63 @@ class TestBuildMatrix:
                 assert err <= 1e-8 * (1 + np.linalg.norm(A)) * np.linalg.norm(v)
 
 
+def shift(beta, i):
+    return tuple(b + (k == i) for k, b in enumerate(beta))
+
+
+def reference(s, i):
+    """A_i one row at a time: a unit row where beta + e_i stays in I, else its relation row."""
+    I = s.I
+    A = np.zeros((len(I), len(I)), dtype=complex)
+    for r, beta in enumerate(I.members):
+        if shift(beta, i) in I:
+            A[r, I.position[shift(beta, i)]] = 1.0
+        else:
+            A[r] = s.relation_row(shift(beta, i))
+    return A
+
+
+lower_sets = dict(n=st.integers(1, 4), steps=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(**lower_sets)
+def test_gather_matches_row_loop(n, steps, seed):
+    rng = np.random.default_rng(seed)
+    I = random_lower_set(n, steps, rng)
+    J = border(I)
+    shape = (len(J), len(I))
+    s = BorderSystem(I, J, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    fam = build_family(s)
+    assert len(fam) == n
+    for i in range(n):
+        assert np.array_equal(fam.matrices[i], reference(s, i))
+        units = sum(shift(beta, i) in I for beta in I.members)
+        assert fam.unit_row_count[i] == units
+        assert fam.coeff_row_count[i] == len(I) - units
+
+
+@settings(max_examples=50, deadline=None)
+@given(**lower_sets)
+def test_eigen_identity_at_complex_nodes(n, steps, seed):
+    rng = np.random.default_rng(seed)
+    I = random_lower_set(n, steps, rng)
+    nodes = rng.normal(size=(len(I), n)) + 1j * rng.normal(size=(len(I), n))
+    assume(poisedness(I, nodes).poised)
+    s = system_from_nodes(I, nodes)
+    for i, A in enumerate(build_family(s).matrices):
+        for z, v in zip(nodes, basis_values(I, nodes)):
+            err = np.linalg.norm(A @ v - z[i] * v)
+            assert err <= 1e-8 * (1 + np.linalg.norm(A)) * np.linalg.norm(v)
+
+
 class TestCompanionDegeneration:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_char_poly_matches_relation(self, m):
         rng = np.random.default_rng(m)
         row = rng.normal(size=m + 1)
         s = univariate(list(row))
-        A = build_matrix(s, 0)
+        A = build_family(s).matrices[0]
         # determinant-expansion oracle: char poly of the companion matrix
         # must be x^{m+1} - a_m x^m - ... - a_0
         cp = np.poly(A)  # leading-first coefficients of det(xI - A)
