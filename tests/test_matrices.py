@@ -111,10 +111,11 @@ def reference(s, i):
     I = s.I
     A = np.zeros((len(I), len(I)), dtype=complex)
     for r, beta in enumerate(I.members):
-        if shift(beta, i) in I:
-            A[r, I.position[shift(beta, i)]] = 1.0
+        alpha = shift(beta, i)
+        if alpha in I:
+            A[r, I.position[alpha]] = 1.0
         else:
-            A[r] = s.relation_row(shift(beta, i))
+            A[r] = s.relation_row(alpha)
     return A
 
 
