@@ -87,7 +87,7 @@ def _fail(exc, code=2):
 
 
 def cmd_check(args, cfg):
-    sys_ = parse_system(_read_input(args.system), cfg.size_cap)
+    sys_ = parse_system(_read_input(args.system))
     verdict = criterion(build_family(sys_), cfg)
     report = {
         "verdict": verdict.to_json(),
@@ -104,7 +104,7 @@ def cmd_check(args, cfg):
 
 
 def cmd_solve(args, cfg):
-    sys_ = parse_system(_read_input(args.system), cfg.size_cap)
+    sys_ = parse_system(_read_input(args.system))
     sol = solve(sys_, cfg)
     lines = [
         f"strategy: {sol.strategy}",
@@ -122,10 +122,8 @@ def cmd_solve(args, cfg):
 
 def cmd_from_points(args, cfg):
     spec = args.index_set
-    I = index_set_from_json(
-        _load_json(spec.encode() if spec.lstrip().startswith("{") else _read_input(spec)),
-        cfg.size_cap,
-    )
+    text = spec.encode() if spec.lstrip().startswith("{") else _read_input(spec)
+    I = index_set_from_json(_load_json(text))
     nodes = parse_nodes(_read_input(args.points), I.dimension)
     try:
         sys_ = system_from_nodes(I, nodes, cfg.tol_poised)
@@ -143,7 +141,7 @@ def cmd_from_points(args, cfg):
 
 
 def cmd_verify(args, cfg):
-    sys_ = parse_system(_read_input(args.system), cfg.size_cap)
+    sys_ = parse_system(_read_input(args.system))
     roots = _roots_from_json(_load_json(_read_input(args.roots)), sys_.dimension)
     res = residual(sys_, np.array(roots).reshape(len(roots), sys_.dimension)).tolist()
     rows = [{"z": [[c.real, c.imag] for c in z], "residual": r} for z, r in zip(roots, res)]
@@ -174,7 +172,7 @@ def _roots_from_json(obj, n):
 
 
 def cmd_matrices(args, cfg):
-    sys_ = parse_system(_read_input(args.system), cfg.size_cap)
+    sys_ = parse_system(_read_input(args.system))
     fam = build_family(sys_)
     out = {
         "basis": [list(b) for b in sys_.I.members],

@@ -6,7 +6,7 @@ class BorderEigError(Exception):
 
 
 class SizeLimitError(BorderEigError):
-    """An index set would exceed the configured cardinality cap."""
+    """An input's estimated dense cost exceeds the admission budget."""
 
 
 class LowerSetError(BorderEigError):

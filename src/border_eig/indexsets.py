@@ -19,7 +19,11 @@ from .errors import LowerSetError, SchemaError, SizeLimitError
 
 MultiIndex = tuple[int, ...]
 
-DEFAULT_SIZE_CAP = 10_000
+# Admission: solving costs the n dense #I x #I multiplication matrices, so an
+# index set is admitted when n * #I * (#I + n) <= ADMISSION_BUDGET.  That counts
+# the entries of the family plus an upper bound on the border's exponent rows
+# (at most n * #I members of length n).
+ADMISSION_BUDGET = 2**22
 
 
 def _as_int(value, path, minimum=0) -> int:
@@ -103,44 +107,46 @@ class BorderSet(_IndexedSet):
     """The indices one step outside a lower set, in canonical order."""
 
 
-def _degree_slices(n, total):
-    """Yield all multi-indices of length n with entries summing to total."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _degree_slices(n - 1, total - first):
-            yield (first,) + rest
+def _admit(n: int, count: int) -> None:
+    """Raise SizeLimitError unless n variables and #I = count fit the admission budget."""
+    estimate = n * count * (count + n)
+    if estimate > ADMISSION_BUDGET:
+        raise SizeLimitError(
+            f"n={n}, #I={count}: estimated cost n*#I*(#I+n) = {estimate} "
+            f"exceeds the admission budget {ADMISSION_BUDGET}"
+        )
 
 
-def total_degree_set(n: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> LowerSet:
+def total_degree_set(n: int, m: int) -> LowerSet:
     """All multi-indices alpha in Z_+^n with |alpha| <= m, in canonical order.
 
-    Cardinality is binomial(n+m, n); exceeding size_cap raises SizeLimitError
-    before any enumeration happens.
+    Cardinality is binomial(n+m, n), admitted (see ADMISSION_BUDGET) before
+    any enumeration.  Each degree slice grows from the one before by adding
+    every unit vector.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if m < 0:
         raise ValueError("degree must be >= 0")
-    count = math.comb(n + m, n)
-    if count > size_cap:
-        raise SizeLimitError(
-            f"total-degree set (n={n}, m={m}) has {count} elements, cap is {size_cap}"
-        )
-    members = [a for d in range(m + 1) for a in _degree_slices(n, d)]
-    members.sort(key=grlex_key)
+    _admit(n, math.comb(n + m, n))
+    last = [(0,) * n]
+    members = list(last)
+    for _ in range(m):
+        last = sorted({add_unit(a, i) for a in last for i in range(n)}, key=grlex_key)
+        members += last
     return LowerSet(n, members, {a: k for k, a in enumerate(members)})
 
 
-def validate_lower_set(candidates, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> LowerSet:
+def validate_lower_set(candidates, n: int) -> LowerSet:
     """Check downward closure and build a LowerSet in canonical order.
 
-    Raises LowerSetError on a duplicate or on a missing predecessor
-    alpha - e_i, naming the offending indices.
+    candidates is a sequence, admitted by its length (see ADMISSION_BUDGET)
+    before it is read.  Raises LowerSetError on a duplicate or on a missing
+    predecessor alpha - e_i, naming the offending indices.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    _admit(n, len(candidates))
     seen = set()
     members = []
     for cand in candidates:
@@ -153,8 +159,6 @@ def validate_lower_set(candidates, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> 
             raise LowerSetError(f"duplicate index {alpha}")
         seen.add(alpha)
         members.append(alpha)
-    if len(members) > size_cap:
-        raise SizeLimitError(f"{len(members)} elements exceed cap {size_cap}")
     for alpha in members:
         for i in reversed(range(n)):
             if alpha[i] > 0 and sub_unit(alpha, i) not in seen:
@@ -165,7 +169,7 @@ def validate_lower_set(candidates, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> 
     return LowerSet(n, members, {a: k for k, a in enumerate(members)})
 
 
-def border(I: LowerSet, size_cap: int = DEFAULT_SIZE_CAP) -> BorderSet:
+def border(I: LowerSet) -> BorderSet:
     """The border {beta + e_i : beta in I, beta + e_i not in I}.
 
     For a total-degree set of degree m this is exactly {alpha : |alpha| = m+1}.
@@ -178,13 +182,11 @@ def border(I: LowerSet, size_cap: int = DEFAULT_SIZE_CAP) -> BorderSet:
             alpha = add_unit(beta, i)
             if alpha not in I:
                 found.add(alpha)
-    if len(found) > size_cap:
-        raise SizeLimitError(f"border has {len(found)} elements, cap is {size_cap}")
     members = sorted(found, key=grlex_key)
     return BorderSet(I.dimension, members, {a: k for k, a in enumerate(members)})
 
 
-def index_set_from_json(obj, size_cap: int = DEFAULT_SIZE_CAP) -> LowerSet:
+def index_set_from_json(obj) -> LowerSet:
     """Build a LowerSet from its JSON description.
 
     Accepts {"type": "total_degree", "n": ..., "m": ...} or
@@ -197,7 +199,7 @@ def index_set_from_json(obj, size_cap: int = DEFAULT_SIZE_CAP) -> LowerSet:
     if kind == "total_degree":
         n = _as_int(obj.get("n"), "index_set.n", 1)
         m = _as_int(obj.get("m"), "index_set.m")
-        return total_degree_set(n, m, size_cap)
+        return total_degree_set(n, m)
     if kind == "explicit":
         n = _as_int(obj.get("n"), "index_set.n", 1)
         indices = obj.get("indices")
@@ -207,7 +209,7 @@ def index_set_from_json(obj, size_cap: int = DEFAULT_SIZE_CAP) -> LowerSet:
             for j, a in enumerate(alpha):
                 _as_int(a, f"index_set.indices[{k}][{j}]")
         try:
-            return validate_lower_set(indices, n, size_cap)
+            return validate_lower_set(indices, n)
         except LowerSetError as exc:
             raise SchemaError(str(exc), "index_set.indices") from exc
     raise SchemaError(f"unknown index set type {kind!r}", "index_set.type")

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenConvergenceError
-from .indexsets import DEFAULT_SIZE_CAP
 from .matrices import CommutationReport, MultMatrixFamily, build_family, commutation_report
 from .system import BorderSystem, relation_jacobian, relation_values, residual
 
@@ -56,8 +55,6 @@ class Config:
     tol_eig: float = 1e-8
     # seeds the coefficients of the generic combination M
     seed: int = 42
-    # largest index set or border accepted from an input
-    size_cap: int = DEFAULT_SIZE_CAP
 
 
 @dataclass

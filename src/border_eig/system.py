@@ -152,15 +152,20 @@ def _as_complex(value, path):
     return z
 
 
-def system_from_json(obj, size_cap=None) -> BorderSystem:
-    """Build a BorderSystem from its parsed JSON object."""
-    kwargs = {} if size_cap is None else {"size_cap": size_cap}
+def system_from_json(obj) -> BorderSystem:
+    """Build a BorderSystem from its parsed JSON object.
+
+    An optional "basis" must list I's members in canonical order, the order
+    every coefficient row follows.
+    """
     if not isinstance(obj, dict):
         raise SchemaError("system must be a JSON object")
     if "index_set" not in obj:
         raise SchemaError("missing field", "index_set")
-    I = index_set_from_json(obj["index_set"], **kwargs)
-    J = border(I, **kwargs)
+    I = index_set_from_json(obj["index_set"])
+    if "basis" in obj and obj["basis"] != [list(b) for b in I.members]:
+        raise SchemaError("must list the members of I in canonical order", "basis")
+    J = border(I)
     relations = obj.get("relations")
     if not isinstance(relations, list):
         raise SchemaError("missing or non-array field", "relations")
@@ -208,9 +213,9 @@ def _load_json(text):
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
-def parse_system(text, size_cap=None) -> BorderSystem:
+def parse_system(text) -> BorderSystem:
     """Parse a system from JSON text or bytes."""
-    return system_from_json(_load_json(text), size_cap)
+    return system_from_json(_load_json(text))
 
 
 def system_to_json(sys: BorderSystem) -> dict:

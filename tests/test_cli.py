@@ -280,6 +280,44 @@ class TestFromPoints:
         roots = sorted(r["z"][0][0] for r in json.loads(out)["roots"])
         assert roots == pytest.approx([-1.0, 1.0], abs=1e-10)
 
+    def test_reordered_basis_exits_two(self, capsys, tmp_path):
+        pts = tmp_path / "pts.json"
+        pts.write_text('{"n": 2, "points": [[0, 0], [1, 0], [0, 1]]}')
+        _, out, _ = run_cli(capsys, "from-points", "--index-set",
+                            '{"type": "total_degree", "n": 2, "m": 1}', "--points", str(pts))
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(out)
+        assert json.loads(out)["basis"] == [[0, 0], [1, 0], [0, 1]]
+        assert run_cli(capsys, "solve", str(sysfile))[0] == 0
+        # basis [1, y, x] with every coefficient row permuted to match
+        obj = json.loads(out)
+        obj["basis"] = [[0, 0], [0, 1], [1, 0]]
+        for rel in obj["relations"]:
+            rel["coeffs"] = [rel["coeffs"][k] for k in (0, 2, 1)]
+        sysfile.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "solve", str(sysfile))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "SchemaError" and error["message"].startswith("basis: ")
+
+
+@pytest.mark.parametrize("index_set, error, message", [
+    # n * #I * (#I + n) = 3000 * 3001 is over the budget: refused before the
+    # border's 3000 indices of length 3000 are built
+    ({"type": "explicit", "n": 3000, "indices": [[0] * 3000]}, "SizeLimitError", "n=3000, #I=1: "),
+    # admitted, and built without recursing n deep; no relations is an input error
+    ({"type": "total_degree", "n": 1500, "m": 0}, "SchemaError", "relations: "),
+], ids=["wide-refused", "deep-admitted"])
+def test_admission(capsys, tmp_path, index_set, error, message):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"index_set": index_set, "relations": []}))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    obj = json.loads(err)
+    assert obj["error"] == error and obj["message"].startswith(message)
+
 
 class TestVerify:
     def test_solve_output_round_trip(self, capsys, idempotent_file, tmp_path):
@@ -357,7 +395,7 @@ class TestConfig:
     @pytest.mark.parametrize("var, value", [
         ("BORDER_EIG_SEED", "abc"),
         ("BORDER_EIG_TOL_COMMUTE", "x"),
-        ("BORDER_EIG_SIZE_CAP", "1.5"),
+        ("BORDER_EIG_SEED", "1.5"),
     ])
     def test_malformed_env_var_exits_two(self, capsys, idempotent_file, monkeypatch, var, value):
         monkeypatch.setenv(var, value)
@@ -374,7 +412,7 @@ class TestConfig:
         (["--tol-poised", "inf"], {}, "--tol-poised"),
         (["--seed", "-1"], {}, "--seed"),
         ([], {"BORDER_EIG_SEED": "-5"}, "BORDER_EIG_SEED"),
-        (["--size-cap", "1.5"], {}, "--size-cap"),
+        (["--seed", "1.5"], {}, "--seed"),
     ], ids=["flag-nan", "env-nan", "from-points-nan", "from-points-inf", "flag-negative-int",
             "env-negative-int", "flag-float-for-int"])
     def test_bad_knob_exits_two(self, capsys, tmp_path, x2_is_1_file, monkeypatch, flags, env, source):
@@ -409,9 +447,11 @@ class TestConfig:
             monkeypatch.delenv(var)
 
     def test_refine_flag_is_gone(self, capsys, x2_is_1_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", x2_is_1_file, "--refine", "1"])
-        assert exc.value.code == 2
+        # so is --size-cap: admission is a fixed rule (indexsets.ADMISSION_BUDGET)
+        for flag in ("--refine", "--size-cap"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", x2_is_1_file, flag, "1"])
+            assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

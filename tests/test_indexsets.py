@@ -13,7 +13,7 @@ from border_eig import (
     total_degree_set,
     validate_lower_set,
 )
-from border_eig.indexsets import grlex_key, index_set_from_json, sub_unit
+from border_eig.indexsets import ADMISSION_BUDGET, grlex_key, index_set_from_json, sub_unit
 from conftest import random_lower_set
 
 
@@ -46,13 +46,41 @@ class TestTotalDegreeSet:
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
-            total_degree_set(5, 20, size_cap=10_000)
+            total_degree_set(5, 20)
 
     def test_canonical_order_is_positional(self):
         I = total_degree_set(3, 3)
         for k, a in enumerate(I.members):
             assert I.position[a] == k
         assert I.members == sorted(I.members, key=grlex_key)
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("n,m", [(1, 2046), (2, 52)])
+    def test_largest_admitted(self, n, m):
+        count = math.comb(n + m, n)
+        assert n * count * (count + n) <= ADMISSION_BUDGET
+        assert len(total_degree_set(n, m)) == count
+
+    @pytest.mark.parametrize("n,m", [(1, 2047), (2, 53)])
+    def test_smallest_refused(self, n, m):
+        count = math.comb(n + m, n)
+        with pytest.raises(SizeLimitError, match=rf"n={n}, #I={count}: .* {n * count * (count + n)} "
+                                                 rf"exceeds the admission budget {ADMISSION_BUDGET}"):
+            total_degree_set(n, m)
+
+    def test_many_variables_no_recursion(self):
+        # each degree slice grows from the last, so n is not a recursion depth
+        I = total_degree_set(1500, 0)
+        assert I.members == [(0,) * 1500]
+        J = border(I)
+        assert len(J) == 1500
+        assert J.members[0] == (1,) + (0,) * 1499
+
+    def test_explicit_set_admitted_by_length_before_reading(self):
+        # a candidate that is not even an index: refused before it is read
+        with pytest.raises(SizeLimitError, match="n=3000, #I=1"):
+            validate_lower_set([None], 3000)
 
 
 class TestValidateLowerSet:

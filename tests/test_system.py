@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from border_eig import (
     BorderSystem,
     SchemaError,
+    SizeLimitError,
     UnknownRelationError,
     border,
     monomial_eval,
@@ -191,6 +193,20 @@ class TestSerialization:
         )
         with pytest.raises(SchemaError, match="missing relations"):
             parse_system(text)
+
+    def test_wide_index_set_refused_within_small_memory(self):
+        # one index of length 3000: its border would hold 3000 indices of
+        # length 3000, so admission must come before the border is built
+        text = json.dumps({"index_set": {"type": "explicit", "n": 3000, "indices": [[0] * 3000]},
+                           "relations": []})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                parse_system(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_truncated_json(self):
         with pytest.raises(SchemaError, match="invalid JSON"):
