@@ -24,7 +24,7 @@ from .indexsets import index_set_from_json
 from .interp import _coordinates, nodes_from_json, parse_nodes, system_from_nodes
 from .matrices import build_family
 from .spectral import Config, criterion, solve
-from .system import _load_json, parse_system, residual, system_to_json
+from .system import _load_json, dumps, parse_system, residual, system_to_json
 
 _ENV_PREFIX = "BORDER_EIG_"
 
@@ -70,7 +70,7 @@ def _config_from_args(args) -> Config:
 def _emit(obj, fmt, lines):
     """JSON object on stdout, or the prepared text lines in text mode."""
     if fmt == "json":
-        print(json.dumps(obj, indent=2))
+        print(dumps(obj))
     else:
         for line in lines:
             print(line)
@@ -144,7 +144,7 @@ def cmd_verify(args, cfg):
     sys_ = parse_system(_read_input(args.system))
     roots = _roots_from_json(_load_json(_read_input(args.roots)), sys_.dimension)
     res = residual(sys_, np.array(roots).reshape(len(roots), sys_.dimension)).tolist()
-    rows = [{"z": [[c.real, c.imag] for c in z], "residual": r} for z, r in zip(roots, res)]
+    rows = [{"z": z, "residual": r} for z, r in zip(roots, res)]
     ok = all(row["residual"] <= cfg.tol_accept for row in rows)
     out = {"tol_accept": cfg.tol_accept, "all_pass": ok, "roots": rows}
     lines = [
@@ -176,10 +176,7 @@ def cmd_matrices(args, cfg):
     fam = build_family(sys_)
     out = {
         "basis": [list(b) for b in sys_.I.members],
-        "A": [
-            [[[c.real, c.imag] for c in row] for row in A]
-            for A in fam.matrices
-        ],
+        "A": np.stack(fam.matrices),
         "unit_row_count": fam.unit_row_count,
         "coeff_row_count": fam.coeff_row_count,
     }

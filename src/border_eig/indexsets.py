@@ -107,12 +107,16 @@ class BorderSet(_IndexedSet):
     """The indices one step outside a lower set, in canonical order."""
 
 
-def _admit(n: int, count: int) -> None:
-    """Raise SizeLimitError unless n variables and #I = count fit the admission budget."""
+def _admit(n: int, count: int, exact: bool = True) -> None:
+    """Raise SizeLimitError unless n variables and #I = count fit the admission budget.
+
+    With exact false, count is a lower bound on #I.
+    """
     estimate = n * count * (count + n)
     if estimate > ADMISSION_BUDGET:
+        relation = "=" if exact else ">="
         raise SizeLimitError(
-            f"n={n}, #I={count}: estimated cost n*#I*(#I+n) = {estimate} "
+            f"n={n}, #I{relation}{count}: estimated cost n*#I*(#I+n) {relation} {estimate} "
             f"exceeds the admission budget {ADMISSION_BUDGET}"
         )
 
@@ -128,6 +132,10 @@ def total_degree_set(n: int, m: int) -> LowerSet:
         raise ValueError("dimension must be >= 1")
     if m < 0:
         raise ValueError("degree must be >= 0")
+    # binomial(n+m, n) >= max(n, m) + 1 for m >= 1, equal when n or m is 1.  The
+    # bound refuses a huge n or m before the binomial, which takes seconds to
+    # form at n = m = 10^6.
+    _admit(n, max(n, m) + 1 if m else 1, exact=min(n, m) <= 1)
     _admit(n, math.comb(n + m, n))
     last = [(0,) * n]
     members = list(last)

@@ -130,7 +130,7 @@ class SolutionSet:
             "strategy": self.strategy,
             "roots": [
                 {
-                    "z": [[c.real, c.imag] for c in z],
+                    "z": z,
                     "residual": r,
                     "real": bool(np.max(np.abs(z.imag)) <= tol_real),
                     "flagged": flag,

@@ -9,8 +9,11 @@ imaginary part.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,6 +23,8 @@ from .indexsets import BorderSet, LowerSet, _as_int, border, index_set_from_json
 
 if TYPE_CHECKING:
     from .interp import PoisednessReport
+
+_INDENT = "  "  # the writer's indent=2
 
 
 @dataclass
@@ -152,6 +157,29 @@ def _as_complex(value, path):
     return z
 
 
+def _coefficient_row(row, path) -> np.ndarray:
+    """The complex values of one coefficient row (entries as _as_complex reads them).
+
+    A row of bare numbers, or of [re, im] pairs, converts as one float array,
+    whose columns are assigned to .real and .imag so that signed zeros
+    survive.  Any other row, or one with a value that is not a finite float,
+    goes entry by entry through _as_complex, which names the failing entry.
+    """
+    pairs = set(map(type, row)) == {list} and set(map(len, row)) == {2}
+    parts = itertools.chain.from_iterable(row) if pairs else row
+    if set(map(type, parts)) <= {int, float}:  # type, not isinstance: no bools
+        try:
+            values = np.array(row, dtype=float).reshape(len(row), -1)
+        except OverflowError:  # an integer beyond the float range
+            values = None
+        if values is not None and np.isfinite(values).all():
+            out = np.zeros(len(row), dtype=complex)
+            out.real = values[:, 0]
+            out.imag = values[:, -1] if pairs else 0.0
+            return out
+    return np.array([_as_complex(c, f"{path}[{j}]") for j, c in enumerate(row)], dtype=complex)
+
+
 def system_from_json(obj) -> BorderSystem:
     """Build a BorderSystem from its parsed JSON object.
 
@@ -193,13 +221,13 @@ def system_from_json(obj) -> BorderSystem:
             raise SchemaError(
                 f"coefficient row has length {got}, expected {len(I)}", f"{path}.coeffs"
             )
-        coeffs[J.position[alpha]] = [
-            _as_complex(c, f"{path}.coeffs[{j}]") for j, c in enumerate(row)
-        ]
+        coeffs[J.position[alpha]] = _coefficient_row(row, f"{path}.coeffs")
     missing = [a for a in J.members if a not in seen]
     if missing:
+        first = [list(a) for a in missing[:3]]  # the whole list can run to megabytes
         raise SchemaError(
-            f"missing relations for border indices {[list(a) for a in missing]}",
+            f"missing relations for {len(missing)} of {len(J)} border indices, "
+            f"first {first}",
             "relations",
         )
     return BorderSystem(I, J, coeffs)
@@ -213,20 +241,86 @@ def _load_json(text):
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
+def dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, with numpy arrays as JSON arrays.
+
+    A complex array is written as nested [re, im] pairs and a real one as
+    numbers, that is as json would write the array's list form.  Dict keys
+    must be strings.
+    """
+    return _encode(obj, 0)
+
+
+def _encode(obj, level):
+    """The text of obj whose opening line is indented level steps (json's order of checks)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, np.ndarray):
+        return _encode_array(obj, level)
+    if isinstance(obj, (list, tuple)):
+        items = [_encode(x, level + 1) for x in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict):  # a key that is not a str raises TypeError
+        items = [f"{encode_basestring_ascii(k)}: {_encode(v, level + 1)}" for k, v in obj.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    inner = "\n" + _INDENT * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + _INDENT * level + brackets[1]
+
+
+def _encode_array(a: np.ndarray, level):
+    """An array as _encode would write a.tolist() (complex entries as [re, im] lists).
+
+    A finite, non-empty float array is formatted from its flat list of
+    float reprs, one axis at a time from the innermost: each group of
+    shape[axis] consecutive texts fills a template with that axis's
+    brackets, commas and indents.  Other arrays go through the scalar path,
+    which keeps json's spelling of NaN and Infinity.
+    """
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], axis=-1)
+    if a.dtype.kind != "f" or a.size == 0 or not np.isfinite(a).all():
+        return _encode(a.tolist(), level)
+    texts = map(float.__repr__, a.ravel().tolist())
+    for axis in reversed(range(a.ndim)):
+        depth = level + axis
+        inner = "\n" + _INDENT * (depth + 1)
+        k = a.shape[axis]
+        template = "[" + inner + ("," + inner).join(["%s"] * k) + "\n" + _INDENT * depth + "]"
+        texts = map(template.__mod__, zip(*[texts] * k))
+    return next(texts)
+
+
 def parse_system(text) -> BorderSystem:
     """Parse a system from JSON text or bytes."""
     return system_from_json(_load_json(text))
 
 
 def system_to_json(sys: BorderSystem) -> dict:
-    """JSON object for a system; scalars always as [re, im] pairs."""
+    """JSON object for a system; each coefficient row is a complex array, which
+    `dumps` writes as [re, im] pairs."""
     return {
         "index_set": sys.I.to_json(),
         "basis": [list(b) for b in sys.I.members],
         "relations": [
             {
                 "alpha": list(alpha),
-                "coeffs": [[c.real, c.imag] for c in sys.coeffs[r]],
+                "coeffs": sys.coeffs[r],
             }
             for r, alpha in enumerate(sys.J.members)
         ],
@@ -234,4 +328,4 @@ def system_to_json(sys: BorderSystem) -> dict:
 
 
 def serialize_system(sys: BorderSystem) -> bytes:
-    return json.dumps(system_to_json(sys), indent=2).encode()
+    return dumps(system_to_json(sys)).encode()

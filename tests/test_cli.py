@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -307,14 +308,21 @@ class TestFromPoints:
     # border's 3000 indices of length 3000 are built
     ({"type": "explicit", "n": 3000, "indices": [[0] * 3000]}, "SizeLimitError", "n=3000, #I=1: "),
     # admitted, and built without recursing n deep; no relations is an input error
-    ({"type": "total_degree", "n": 1500, "m": 0}, "SchemaError", "relations: "),
-], ids=["wide-refused", "deep-admitted"])
+    ({"type": "total_degree", "n": 1500, "m": 0}, "SchemaError",
+     "relations: missing relations for 1500 of 1500 border indices, first [[1, 0, 0, "),
+    # #I >= max(n, m) + 1 refuses it before binomial(2 * 10^6, 10^6) is formed
+    ({"type": "total_degree", "n": 10**6, "m": 10**6}, "SizeLimitError", "n=1000000, #I>=1000001: "),
+], ids=["wide-refused", "deep-admitted", "huge-total-degree-refused"])
 def test_admission(capsys, tmp_path, index_set, error, message):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps({"index_set": index_set, "relations": []}))
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
+    # a message names at most three indices: about 4500 bytes each at n = 1500
+    assert len(err) < 16_000
     obj = json.loads(err)
     assert obj["error"] == error and obj["message"].startswith(message)
 

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from border_eig import (
     BorderSystem,
@@ -17,7 +20,13 @@ from border_eig import (
     system_from_nodes,
     total_degree_set,
 )
-from border_eig.system import relation_jacobian, relation_values
+from border_eig.system import (
+    _as_complex,
+    _coefficient_row,
+    dumps,
+    relation_jacobian,
+    relation_values,
+)
 from conftest import random_lower_set
 
 
@@ -222,3 +231,92 @@ class TestSerialization:
         I = total_degree_set(1, 1)
         with pytest.raises(ValueError):
             BorderSystem(I, border(I), np.array([[np.nan, 0.0]]))
+
+
+def plain(obj):
+    """obj with every array in its list form, complex entries as [re, im] lists."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "c":
+            obj = np.stack([obj.real, obj.imag], axis=-1)
+        return obj.tolist()
+    if isinstance(obj, list):
+        return [plain(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    return obj
+
+
+_shapes = array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+_float_arrays = st.one_of(
+    # finite arrays take the formatting fast path; any NaN or inf the scalar path
+    arrays(dtype, _shapes, elements=elements)
+    for dtype, elements in [
+        (np.float64, st.floats(allow_nan=False, allow_infinity=False)),
+        (np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+        (np.float64, st.floats()),
+        (np.complex128, st.complex_numbers(allow_nan=True, allow_infinity=True)),
+    ]
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _float_arrays,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_json_values)
+    @example(obj=np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e300]))
+    @example(obj=np.array([[0.0, -0.0j], [5e-324 - 5e-324j, 1e16]]))
+    @example(obj=np.array([np.nan, np.inf, -np.inf, -0.0]))
+    @example(obj=np.array([[1 + 1j, complex(0.0, np.nan)]]))
+    @example(obj={"A": np.zeros((2, 0, 3), dtype=complex), "e": np.array([]), "l": [], "d": {}})
+    @example(obj={"z": np.ones((2, 3, 4)), "n": [None, True, False, -7, "\u00e9\n\""]})
+    def test_matches_stdlib(self, obj):
+        assert dumps(obj) == json.dumps(plain(obj), indent=2)
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError):
+            dumps({1: 2})
+        with pytest.raises(TypeError):
+            dumps({"x": {1, 2}})
+
+
+_numbers = st.integers(-(2**80), 2**80) | st.floats(allow_nan=False, allow_infinity=False)
+_pairs = st.tuples(_numbers, _numbers).map(list)
+
+
+class TestCoefficientRow:
+    @settings(max_examples=200, deadline=None)
+    @given(row=st.lists(_numbers, min_size=1) | st.lists(_pairs, min_size=1)
+           | st.lists(_numbers | _pairs, min_size=1))
+    @example(row=[-0.0, 0, 5e-324, 2**70 + 1])
+    @example(row=[[-0.0, -0.0], [0, -0.0], [-5e-324, 2**70 + 1]])
+    def test_equals_entry_by_entry(self, row):
+        entry_by_entry = np.array([_as_complex(c, "p") for c in row], dtype=complex)
+        # equal bytes: the same values, signs of zero included
+        assert _coefficient_row(row, "p").tobytes() == entry_by_entry.tobytes()
+
+    @pytest.mark.parametrize("row, bad", [
+        ([0.5, True], 1),
+        ([0.5, "1"], 1),
+        ([0.5, 10**400], 1),
+        ([[1, 0], [10**400, 0]], 1),
+        ([[1, 0], [0, float("inf")]], 1),
+        ([0.5, [1]], 1),
+        ([0.5, [1, 2, 3]], 1),
+        ([[1, 0], [1]], 1),
+        ([[1, 0], 2, [0, True]], 2),
+        ([[1, 0], 2, "x"], 2),
+    ])
+    def test_rejected_entry_named(self, row, bad):
+        text = json.dumps({"index_set": {"type": "total_degree", "n": 1, "m": len(row) - 1},
+                           "relations": [{"alpha": [len(row)], "coeffs": row}]})
+        with pytest.raises(SchemaError) as info:
+            parse_system(text)
+        path = f"relations[0].coeffs[{bad}]"
+        with pytest.raises(SchemaError) as entry:
+            _as_complex(json.loads(text)["relations"][0]["coeffs"][bad], path)
+        assert info.value.path == path and str(info.value) == str(entry.value)
