@@ -173,7 +173,7 @@ def _roots_from_json(obj, n):
 
 def cmd_matrices(args, cfg):
     sys_ = parse_system(_read_input(args.system))
-    fam = build_family(sys_)
+    fam = build_family(sys_, complex)  # [re, im] pairs, as the coefficients were read
     out = {
         "basis": [list(b) for b in sys_.I.members],
         "A": np.stack(fam.matrices),

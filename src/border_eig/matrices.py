@@ -48,21 +48,30 @@ class CommutationReport:
         }
 
 
-def build_family(sys: BorderSystem) -> MultMatrixFamily:
-    """All n multiplication matrices, gathered from the stacked normal forms.
+def build_family(sys: BorderSystem, dtype=None) -> MultMatrixFamily:
+    """All n multiplication matrices, from one shift table over the normal forms.
 
-    normal_forms stacks the normal forms of the monomials of I (unit rows)
-    and then of J (the coefficient rows).  shifts[i, r] is the row of
-    beta_r + e_i in that stack, so A_i = normal_forms[shifts[i]]; a J that
-    is not the border of I raises KeyError.
+    The normal forms of the monomials of I are unit rows and those of J the
+    coefficient rows.  shifts[i, r] indexes beta_r + e_i in I followed by J:
+    below #I it is a unit entry of A_i, scattered into zeroed memory; from
+    #I on it names the coefficient row gathered into A_i.  A J that is not
+    the border of I raises KeyError.  By default the family is float64 when
+    every coefficient is real (no imaginary part is nonzero), else complex;
+    dtype=complex keeps the coefficients as they are, signed zeros too.
     """
     I, J = sys.I, sys.J
     size = len(I)
-    normal_forms = np.vstack([np.eye(size, dtype=complex), sys.coeffs])
+    if dtype is None:
+        dtype = complex if np.any(sys.coeffs.imag) else float
+    coeffs = sys.coeffs if np.dtype(dtype).kind == "c" else sys.coeffs.real
     row = {**I.position, **{alpha: size + r for alpha, r in J.position.items()}}
     shifts = np.array([[row[add_unit(beta, i)] for beta in I] for i in range(sys.dimension)])
-    units = np.count_nonzero(shifts < size, axis=1).tolist()
-    return MultMatrixFamily(list(normal_forms[shifts]), units, [size - u for u in units])
+    unit = shifts < size
+    family = np.zeros((sys.dimension, size, size), dtype=coeffs.dtype)
+    family[(*np.nonzero(unit), shifts[unit])] = 1.0
+    family[~unit] = coeffs[shifts[~unit] - size]
+    units = np.count_nonzero(unit, axis=1).tolist()
+    return MultMatrixFamily(list(family), units, [size - u for u in units])
 
 
 def commutation_report(fam: MultMatrixFamily, tol: float) -> CommutationReport:

@@ -145,11 +145,16 @@ class SolutionSet:
 def eigen(A: np.ndarray, tol_eig: float = 1e-8) -> EigenDecomposition:
     """Dense nonsymmetric eigendecomposition with unit-norm eigenvectors.
 
-    Raises EigenConvergenceError when the underlying QR iteration fails.
+    A real A stays real for the eigensolver and the residual check, so its
+    real eigenvalues and eigenvectors have imaginary part exactly 0 and its
+    non-real ones come in exact conjugate pairs; the eigenvalues and
+    eigenvectors are returned complex either way.  Raises
+    EigenConvergenceError when A has a non-finite entry, when the QR
+    iteration fails, or when an eigenpair residual exceeds its tolerance.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     if not np.all(np.isfinite(A)):
-        raise ValueError("non-finite matrix entry")
+        raise EigenConvergenceError("non-finite matrix entry")
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
@@ -162,7 +167,7 @@ def eigen(A: np.ndarray, tol_eig: float = 1e-8) -> EigenDecomposition:
             f"eigenpair residual {res.max():.3e} exceeds {scale:.3e}",
             converged_size=int(np.sum(res <= scale)),
         )
-    return EigenDecomposition(w, V, res)
+    return EigenDecomposition(w.astype(complex), V.astype(complex), res)
 
 
 def _gap_ratios(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -197,6 +202,26 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
+def _eigenbasis_inverse(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V^-1 for the eigenvectors V of a real matrix, exact in their structure.
+
+    eig gives a conjugate pair as adjacent columns a + ib, a - ib, the one
+    with Im w > 0 first, and a real eigenvalue a real column.  So V = W T,
+    with W the real matrix holding a, b in the pair's columns and T the
+    block diag([[1, 1], [i, -i]]); with X = W^-1, the rows of V^-1 = T^-1 X
+    are (X_a - i X_b) / 2, (X_a + i X_b) / 2 for a pair and X's rows for
+    real eigenvalues: exact conjugates, and exactly real.
+    """
+    pair = np.flatnonzero(w.imag > 0)
+    W = V.real.copy()
+    W[:, pair + 1] = V[:, pair].imag
+    X = np.linalg.inv(W)
+    Y = X.astype(complex)
+    Y[pair] = (X[pair] - 1j * X[pair + 1]) / 2
+    Y[pair + 1] = (X[pair] + 1j * X[pair + 1]) / 2
+    return Y
+
+
 def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
     """The maximality predicate: commuting family whose generic combination is simple.
 
@@ -214,17 +239,22 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
     with #I joint eigenvalues": each A_i is then a polynomial in M.  On a
     simple spectrum the coordinates of root k are the two-sided Rayleigh
     quotients Z[k, i] = (Y A_i V)[k, k]; otherwise Y is not trusted and the
-    one-sided quotients v_k^H A_i v_k stand in.
+    one-sided quotients v_k^H A_i v_k stand in.  A real family gives a real
+    M and a Y exact in its conjugate structure (`_eigenbasis_inverse`), so
+    a real eigenvalue's coordinates have imaginary part exactly 0 and a
+    conjugate pair's are exact conjugates.  An M that overflows raises
+    EigenConvergenceError.
     """
-    comm = commutation_report(fam, cfg.tol_commute)
     c = np.random.default_rng(cfg.seed).normal(size=len(fam))
     c /= np.linalg.norm(c)
-    M = sum(ci * A for ci, A in zip(c, fam.matrices))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves M non-finite
+        comm = commutation_report(fam, cfg.tol_commute)
+        M = sum(ci * A for ci, A in zip(c, fam.matrices))
     dec = eigen(M, cfg.tol_eig)
     V = dec.eigenvectors
     with np.errstate(all="ignore"):
         try:
-            Y = np.linalg.inv(V)
+            Y = _eigenbasis_inverse(V, dec.eigenvalues) if np.isrealobj(M) else np.linalg.inv(V)
         except np.linalg.LinAlgError:
             Y = np.full_like(V, np.nan)
         kappa = np.nan_to_num(np.linalg.norm(Y, axis=1), nan=np.inf)

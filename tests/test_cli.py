@@ -192,6 +192,24 @@ def test_eigensolver_failure_exits_one(capsys, monkeypatch, idempotent_file, com
     assert json.loads(err)["error"] == "EigenConvergenceError"
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_overflowing_combination_exits_one(capsys, recwarn, tmp_path, command):
+    # every coefficient is finite, but M = sum c_i A_i overflows at seed 1;
+    # stderr holds the one error line and no warning
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "index_set": {"type": "explicit", "n": 2, "indices": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+        "relations": [{"alpha": alpha, "coeffs": [1.7e308] * 4}
+                      for alpha in ([2, 0], [0, 2], [2, 1], [1, 2])],
+    }))
+    code, out, err = run_cli(capsys, command, str(path), "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "EigenConvergenceError", "message": "non-finite matrix entry"}
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestFromPoints:
     def test_corner_nodes(self, capsys, tmp_path):
         pts = tmp_path / "pts.json"
@@ -384,6 +402,39 @@ class TestMatrices:
         assert obj["basis"] == [[0, 0], [1, 0], [0, 1]]
         A1 = np.array(obj["A"][0])[:, :, 0]
         assert np.allclose(A1, [[0, 1, 0], [0, 1, 0], [0, 0, 0]])
+
+
+class TestRealSystem:
+    """A real system is solved in real arithmetic but written as before."""
+
+    @pytest.fixture
+    def real_file(self, tmp_path):
+        # (x^5 - 1)(x - 1): one double real root, two conjugate pairs
+        path = tmp_path / "real.json"
+        path.write_text(json.dumps({
+            "index_set": {"type": "total_degree", "n": 1, "m": 5},
+            "relations": [{"alpha": [6], "coeffs": [-1, 1, 0, 0, 0, 1]}],
+        }))
+        return str(path)
+
+    def test_matrices_writes_pairs(self, capsys, real_file):
+        code, out, _ = run_cli(capsys, "matrices", real_file)
+        assert code == 0
+        A = json.loads(out)["A"]
+        entries = [e for Ai in A for row in Ai for e in row]
+        assert len(entries) == 36 and all(isinstance(e, list) and len(e) == 2 for e in entries)
+
+    def test_solve_writes_pairs(self, capsys, real_file):
+        code, out, _ = run_cli(capsys, "solve", real_file)
+        assert code == 1  # the double root: not maximal
+        roots = json.loads(out)["roots"]
+        assert len(roots) == 5
+        assert all(len(r["z"]) == 1 and len(r["z"][0]) == 2 for r in roots)
+        # imaginary parts exactly 0 exactly where real, conjugates otherwise
+        assert [r["real"] for r in roots] == [r["z"][0][1] == 0 for r in roots]
+        assert sum(r["real"] for r in roots) == 1
+        pairs = sorted(tuple(r["z"][0]) for r in roots if not r["real"])
+        assert sorted((re, -im) for re, im in pairs) == pairs
 
 
 class TestConfig:

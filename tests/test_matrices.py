@@ -139,6 +139,38 @@ def test_gather_matches_row_loop(n, steps, seed):
         assert fam.coeff_row_count[i] == len(I) - units
 
 
+class TestDtype:
+    def system(self, seed=3):
+        I = total_degree_set(2, 3)
+        rng = np.random.default_rng(seed)
+        return BorderSystem(I, border(I), rng.normal(size=(len(border(I)), len(I))).astype(complex))
+
+    def test_real_coefficients_give_float64(self):
+        s = self.system()
+        fam = build_family(s)
+        assert all(A.dtype == np.float64 for A in fam.matrices)
+        for i, A in enumerate(fam.matrices):
+            assert np.array_equal(A, reference(s, i))
+
+    def test_one_imaginary_coefficient_keeps_complex(self):
+        s = self.system()
+        s.coeffs[4, 2] += 1e-300j
+        fam = build_family(s)
+        assert all(A.dtype == np.complex128 for A in fam.matrices)
+        for i, A in enumerate(fam.matrices):
+            assert np.array_equal(A, reference(s, i))
+
+    def test_complex_dtype_keeps_signed_zeros(self):
+        s = self.system()
+        s.coeffs.imag = -0.0
+        assert all(A.dtype == np.float64 for A in build_family(s).matrices)
+        fam = build_family(s, complex)
+        for i, A in enumerate(fam.matrices):
+            ref = reference(s, i)
+            assert np.array_equal(np.signbit(A.imag), np.signbit(ref.imag))
+            assert np.count_nonzero(np.signbit(A.imag)) == fam.coeff_row_count[i] * len(A)
+
+
 @settings(max_examples=50, deadline=None)
 @given(**lower_sets)
 def test_eigen_identity_at_complex_nodes(n, steps, seed):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from border_eig import (
 )
 
 from border_eig import spectral
+from border_eig.errors import EigenConvergenceError
 from border_eig.spectral import _components, _gap_ratios, _gauss_newton
 from conftest import matching_error, random_separated_nodes
 
@@ -47,6 +50,25 @@ class TestEigen:
         assert np.allclose(dec.eigenvalues, 0.0)
         v0, v1 = dec.eigenvectors.T
         assert abs(np.vdot(v0, v1)) >= 1 - 1e-12
+
+    def test_real_matrix_returns_complex(self):
+        # a real spectrum: eig works in float64, the result is complex with
+        # imaginary parts exactly 0
+        dec = eigen(np.array([[2.0, 1.0], [0.0, 3.0]]))
+        assert dec.eigenvalues.dtype == dec.eigenvectors.dtype == complex
+        assert sorted(dec.eigenvalues.real) == pytest.approx([2.0, 3.0])
+        assert np.all(dec.eigenvalues.imag == 0) and np.all(dec.eigenvectors.imag == 0)
+
+    def test_real_matrix_conjugate_pair(self):
+        dec = eigen(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        w, V = dec.eigenvalues, dec.eigenvectors
+        assert w[1] == w[0].conjugate() and w[0].imag == pytest.approx(1.0)
+        assert np.array_equal(V[:, 1], V[:, 0].conj())
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_entry_is_a_numerical_failure(self, entry):
+        with pytest.raises(EigenConvergenceError, match="non-finite"):
+            eigen(np.array([[1.0, entry], [0.0, 1.0]]))
 
     def test_cubic_companion(self):
         # x^3 = x factors as x(x-1)(x+1)
@@ -118,6 +140,65 @@ def unit_square_double_roots():
 def triple_root_system():
     """(x - 1)^3 (x + 1) (x - 2): #I = 5, three distinct roots."""
     return univariate(list(-np.poly([1, 1, 1, -1, 2])[1:][::-1]))
+
+
+def double_root_system(k):
+    """(x^k - 1)(x - 1) = 0 as x^(k+1) = x^k + x - 1: a double root at 1."""
+    row = np.zeros(k + 1)
+    row[0], row[1], row[k] = -1.0, 1.0, 1.0
+    return univariate(row)
+
+
+def gaussian_system(n, m, seed):
+    """The system vanishing on #I real N(0, 1) nodes: every root is real."""
+    I = total_degree_set(n, m)
+    return system_from_nodes(I, np.random.default_rng(seed).normal(size=(len(I), n)))
+
+
+class TestRealSystems:
+    """Real coefficients: real roots come out exactly real, non-real ones in
+    exact conjugate pairs, for the criterion's coordinates and solve's roots."""
+
+    # (system, count of non-real roots): the k-th roots of unity other than
+    # +-1; x^5 = 1 has a simple spectrum with conjugate pairs, so its
+    # coordinates come from the two-sided quotients through V^-1
+    cases = {
+        "double-root-k10": (lambda: double_root_system(10), 8),
+        "double-root-k55": (lambda: double_root_system(55), 54),
+        "x5-is-1": (lambda: univariate([1.0, 0.0, 0.0, 0.0, 0.0]), 4),
+        "gauss-n2m6": (lambda: gaussian_system(2, 6, 0), 0),
+        "gauss-n3m4": (lambda: gaussian_system(3, 4, 0), 0),
+    }
+
+    @staticmethod
+    def assert_conjugate_closed(Z, nonreal):
+        """Exactly `nonreal` rows have a nonzero imaginary part (every other
+        row is exactly real), and they pair off with exact conjugates."""
+        mask = np.any(Z.imag != 0, axis=1)
+        assert np.count_nonzero(mask) == nonreal
+        assert Counter(map(tuple, Z[mask].tolist())) == Counter(map(tuple, Z[mask].conj().tolist()))
+
+    @pytest.mark.parametrize("case", cases)
+    def test_family_is_float64(self, case):
+        fam = build_family(self.cases[case][0]())
+        assert all(A.dtype == np.float64 for A in fam.matrices)
+
+    @pytest.mark.parametrize("case", cases)
+    def test_criterion_coordinates(self, case):
+        make, nonreal = self.cases[case]
+        v = criterion(build_family(make()))
+        Z, w = v.coordinates, v.decomposition.eigenvalues
+        self.assert_conjugate_closed(Z, nonreal)
+        # a real eigenvalue of M gives exactly real coordinates
+        assert np.array_equal(np.any(Z.imag != 0, axis=1), w.imag != 0)
+
+    @pytest.mark.parametrize("case", cases)
+    def test_solve_roots(self, case):
+        make, nonreal = self.cases[case]
+        sol = solve(make())
+        self.assert_conjugate_closed(np.array(sol.roots), nonreal)
+        real = [root["real"] for root in sol.to_json()["roots"]]
+        assert real == [bool(np.all(z.imag == 0)) for z in sol.roots]
 
 
 class TestSeparationRule:
