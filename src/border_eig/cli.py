@@ -24,7 +24,7 @@ from .indexsets import index_set_from_json
 from .interp import _coordinates, nodes_from_json, parse_nodes, system_from_nodes
 from .matrices import build_family
 from .spectral import Config, criterion, solve
-from .system import _load_json, dumps, parse_system, residual, system_to_json
+from .system import RowGather, _load_json, dumps, parse_system, residual, system_to_json
 
 _ENV_PREFIX = "BORDER_EIG_"
 
@@ -176,7 +176,7 @@ def cmd_matrices(args, cfg):
     fam = build_family(sys_, complex)  # [re, im] pairs, as the coefficients were read
     out = {
         "basis": [list(b) for b in sys_.I.members],
-        "A": np.stack(fam.matrices),
+        "A": RowGather(fam.normal_forms, fam.shifts),  # A_i = normal_forms[shifts[i]]
         "unit_row_count": fam.unit_row_count,
         "coeff_row_count": fam.coeff_row_count,
     }

@@ -19,10 +19,13 @@ from .errors import LowerSetError, SchemaError, SizeLimitError
 
 MultiIndex = tuple[int, ...]
 
-# Admission: solving costs the n dense #I x #I multiplication matrices, so an
-# index set is admitted when n * #I * (#I + n) <= ADMISSION_BUDGET.  That counts
-# the entries of the family plus an upper bound on the border's exponent rows
-# (at most n * #I members of length n).
+# Admission: an index set is admitted when n * #I * (#I + n) <= ADMISSION_BUDGET.
+# That counts the n * #I^2 entries of the multiplication matrices -- written
+# out by the matrices command and otherwise gathered a few #I x #I matrices at
+# a time, never held together -- plus an upper bound on the border's exponent
+# rows (at most n * #I members of length n).  The largest arrays held, the
+# normal forms [Id; coeffs] and [V; coeffs @ V], have (#I + #J) * #I entries,
+# at most (n + 1) * #I^2.
 ADMISSION_BUDGET = 2**22
 
 

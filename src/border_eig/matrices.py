@@ -3,7 +3,13 @@
 A_i represents multiplication by x_i on span{x^beta : beta in I}, with any
 product landing outside I rewritten through the border relations.  Row
 beta of A_i is the normal form of x_i x^beta: a unit row when beta + e_i
-stays in I, else the coefficient row of the relation for beta + e_i.
+stays in I, else the coefficient row of the relation for beta + e_i.  So
+every A_i is a gather from the #I + #J normal forms [Id; coeffs] of the
+monomials of I and J, and the family is kept as those normal forms plus
+one shift table; no A_i is stored.  Products follow the same way: row r
+of A_i A_j is row shifts[i, r] of normal_forms @ A_j = [A_j; coeffs @ A_j]
+(the commutation condition of Mourrain 1999 and of Kehrein & Kreuzer 2005,
+as gathers), so only A_i's coefficient rows are multiplied.
 """
 
 from __future__ import annotations
@@ -18,18 +24,31 @@ from .system import BorderSystem
 
 @dataclass
 class MultMatrixFamily:
-    """The n dense #I x #I matrices, plus per-matrix row bookkeeping."""
+    """The n multiplication matrices as normal forms gathered through a shift table.
 
-    matrices: list[np.ndarray] = field(repr=False)
-    unit_row_count: list[int]
-    coeff_row_count: list[int]
+    normal_forms is the (#I + #J, #I) stack [Id; coeffs]: row s is the
+    normal form of the s-th monomial of I followed by J.  A_i is
+    normal_forms[shifts[i]]: shifts[i, r] indexes beta_r + e_i in that
+    stack, a unit row below #I and a coefficient row from #I on.
+    """
+
+    normal_forms: np.ndarray = field(repr=False)
+    shifts: np.ndarray = field(repr=False)  # (n, #I) integer
 
     def __len__(self):
-        return len(self.matrices)
+        return len(self.shifts)
 
     @property
     def size(self):
-        return self.matrices[0].shape[0]
+        return self.normal_forms.shape[1]
+
+    @property
+    def unit_row_count(self) -> list[int]:
+        return np.count_nonzero(self.shifts < self.size, axis=1).tolist()
+
+    @property
+    def coeff_row_count(self) -> list[int]:
+        return [self.size - u for u in self.unit_row_count]
 
 
 @dataclass
@@ -38,6 +57,7 @@ class CommutationReport:
     max_defect: float
     tolerance_used: float
     commuting: bool
+    norms: np.ndarray = field(repr=False)  # ||A_i||_F, the scale of each A_i
 
     def to_json(self):
         return {
@@ -49,15 +69,13 @@ class CommutationReport:
 
 
 def build_family(sys: BorderSystem, dtype=None) -> MultMatrixFamily:
-    """All n multiplication matrices, from one shift table over the normal forms.
+    """The normal forms [Id; coeffs] and the shift table of all n multiplication matrices.
 
-    The normal forms of the monomials of I are unit rows and those of J the
-    coefficient rows.  shifts[i, r] indexes beta_r + e_i in I followed by J:
-    below #I it is a unit entry of A_i, scattered into zeroed memory; from
-    #I on it names the coefficient row gathered into A_i.  A J that is not
-    the border of I raises KeyError.  By default the family is float64 when
-    every coefficient is real (no imaginary part is nonzero), else complex;
-    dtype=complex keeps the coefficients as they are, signed zeros too.
+    shifts[i, r] indexes beta_r + e_i in I followed by J; a J that is not
+    the border of I raises KeyError.  By default the normal forms are
+    float64 when every coefficient is real (no imaginary part is nonzero),
+    else complex; dtype=complex keeps the coefficients as they are, signed
+    zeros too.
     """
     I, J = sys.I, sys.J
     size = len(I)
@@ -66,23 +84,40 @@ def build_family(sys: BorderSystem, dtype=None) -> MultMatrixFamily:
     coeffs = sys.coeffs if np.dtype(dtype).kind == "c" else sys.coeffs.real
     row = {**I.position, **{alpha: size + r for alpha, r in J.position.items()}}
     shifts = np.array([[row[add_unit(beta, i)] for beta in I] for i in range(sys.dimension)])
-    unit = shifts < size
-    family = np.zeros((sys.dimension, size, size), dtype=coeffs.dtype)
-    family[(*np.nonzero(unit), shifts[unit])] = 1.0
-    family[~unit] = coeffs[shifts[~unit] - size]
-    units = np.count_nonzero(unit, axis=1).tolist()
-    return MultMatrixFamily(list(family), units, [size - u for u in units])
+    normal_forms = np.concatenate([np.eye(size, dtype=coeffs.dtype), coeffs])
+    return MultMatrixFamily(normal_forms, shifts)
 
 
 def commutation_report(fam: MultMatrixFamily, tol: float) -> CommutationReport:
-    """Pairwise commutator defects, Frobenius-normalized with floor 1."""
+    """Pairwise commutator defects ||A_i A_j - A_j A_i||_F, normalized by
+    ||A_i||_F ||A_j||_F with floor 1.
+
+    Each pair forms its two products as gathers (module docstring) and
+    multiplies only the coefficient rows it needs, so it holds a few
+    #I x #I arrays at a time; no A_i outlives its pair.
+    """
+    nf, shifts = fam.normal_forms, fam.shifts
     n = len(fam)
+    units = shifts < fam.size
+    norms = np.array([np.linalg.norm(nf[index]) for index in shifts])
     defects = np.zeros((n, n))
-    norms = [np.linalg.norm(A) for A in fam.matrices]
     for i in range(n):
         for j in range(i + 1, n):
-            Ai, Aj = fam.matrices[i], fam.matrices[j]
-            num = np.linalg.norm(Ai @ Aj - Aj @ Ai)
+            num = np.linalg.norm(_product(nf, shifts[i], units[i], shifts[j])
+                                 - _product(nf, shifts[j], units[j], shifts[i]))
             defects[i, j] = defects[j, i] = num / max(1.0, norms[i] * norms[j])
     max_defect = float(defects.max()) if n else 0.0
-    return CommutationReport(defects, max_defect, tol, max_defect <= tol)
+    return CommutationReport(defects, max_defect, tol, max_defect <= tol, norms)
+
+
+def _product(nf: np.ndarray, left: np.ndarray, unit: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """A_i A_j for A_i = nf[left] and A_j = nf[right], where unit = left < #I.
+
+    Row r is row left[r] of [A_j; coeffs @ A_j]: a row of A_j where A_i has
+    a unit row, else A_i's coefficient row times A_j.
+    """
+    Aj = nf[right]
+    out = np.empty_like(Aj)
+    out[unit] = Aj[left[unit]]
+    out[~unit] = nf[left[~unit]] @ Aj
+    return out

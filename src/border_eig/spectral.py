@@ -247,9 +247,12 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
     """
     c = np.random.default_rng(cfg.seed).normal(size=len(fam))
     c /= np.linalg.norm(c)
+    nf = fam.normal_forms
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves M non-finite
         comm = commutation_report(fam, cfg.tol_commute)
-        M = sum(ci * A for ci, A in zip(c, fam.matrices))
+        M = np.zeros((fam.size, fam.size), dtype=nf.dtype)
+        for ci, index in zip(c, fam.shifts):
+            M += ci * nf[index]
     dec = eigen(M, cfg.tol_eig)
     V = dec.eigenvectors
     with np.errstate(all="ignore"):
@@ -263,17 +266,19 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
     simple = separation is None or separation > 1.0
     maximal = comm.commuting and simple
     left = Y.T if simple else V.conj()
+    # A_i V = (normal_forms @ V)[shifts[i]], with normal_forms @ V = [V; coeffs @ V]
+    products = np.concatenate([V, nf[fam.size:] @ V])
     columns, extraction, reports = [], [], []
-    for A in fam.matrices:
-        AV = A @ V
+    for index, norm in zip(fam.shifts, comm.norms):
+        AV = products[index]
         z = np.sum(left * AV, axis=0)
         columns.append(z)
         extraction.append(float(np.max(np.linalg.norm(AV - V * z, axis=0))))
-        norm = np.linalg.norm(A)  # A_i shares M's eigenvectors, hence kappa
+        # A_i shares M's eigenvectors, hence kappa
         link = (_gap_ratios(z, EPS * norm * kappa) <= 1.0) & (
             np.abs(np.subtract.outer(z, z)) <= cfg.tol_cluster * (1.0 + norm))
         groups = _components(link)
-        means = np.array([np.mean(z[g]) for g in groups])
+        means = np.array([z[g[0]] if len(g) == 1 else np.mean(z[g]) for g in groups])
         gaps = np.abs(np.subtract.outer(means, means))[np.triu_indices(len(means), 1)]
         clusters = [(complex(lam), len(g), len(g) if maximal else None) for lam, g in zip(means, groups)]
         reports.append(SemisimplicityReport(clusters, True if maximal else None, gaps.min(initial=math.inf)))

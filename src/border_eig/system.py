@@ -241,12 +241,24 @@ def _load_json(text):
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
+@dataclass(frozen=True, eq=False)
+class RowGather:
+    """The array rows[index], for `dumps` to write without forming it.
+
+    rows has at least one axis and index holds integers; each row of rows
+    is formatted once however often index names it.
+    """
+
+    rows: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
+
+
 def dumps(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, with numpy arrays as JSON arrays.
 
     A complex array is written as nested [re, im] pairs and a real one as
-    numbers, that is as json would write the array's list form.  Dict keys
-    must be strings.
+    numbers, that is as json would write the array's list form; a RowGather
+    is written as the array it stands for.  Dict keys must be strings.
     """
     return _encode(obj, 0)
 
@@ -269,6 +281,8 @@ def _encode(obj, level):
         return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
     if isinstance(obj, np.ndarray):
         return _encode_array(obj, level)
+    if isinstance(obj, RowGather):
+        return _encode_gather(obj, level)
     if isinstance(obj, (list, tuple)):
         items = [_encode(x, level + 1) for x in obj]
         brackets = "[]"
@@ -287,23 +301,52 @@ def _encode_array(a: np.ndarray, level):
     """An array as _encode would write a.tolist() (complex entries as [re, im] lists).
 
     A finite, non-empty float array is formatted from its flat list of
-    float reprs, one axis at a time from the innermost: each group of
-    shape[axis] consecutive texts fills a template with that axis's
-    brackets, commas and indents.  Other arrays go through the scalar path,
-    which keeps json's spelling of NaN and Infinity.
+    float reprs (`_nest`).  Other arrays go through the scalar path, which
+    keeps json's spelling of NaN and Infinity.
     """
-    if a.dtype.kind == "c":
-        a = np.stack([a.real, a.imag], axis=-1)
+    a = _as_pairs(a)
     if a.dtype.kind != "f" or a.size == 0 or not np.isfinite(a).all():
         return _encode(a.tolist(), level)
-    texts = map(float.__repr__, a.ravel().tolist())
-    for axis in reversed(range(a.ndim)):
+    return next(_nest(map(float.__repr__, a.ravel().tolist()), a.shape, level))
+
+
+def _encode_gather(g: RowGather, level):
+    """g.rows[g.index] as _encode_array would write it, without forming it.
+
+    Each row of g.rows is formatted once, at the depth where a row of the
+    gathered array sits, and the row texts are joined through g.index.
+    Rows that _encode_array would not format from reprs, or an empty
+    result, go through _encode_array itself.
+    """
+    rows = _as_pairs(g.rows)
+    empty = g.index.size * math.prod(rows.shape[1:]) == 0
+    if rows.dtype.kind != "f" or empty or not np.isfinite(rows).all():
+        return _encode_array(g.rows[g.index], level)
+    depth = level + g.index.ndim
+    texts = list(_nest(map(float.__repr__, rows.ravel().tolist()), rows.shape[1:], depth))
+    return next(_nest(map(texts.__getitem__, g.index.ravel().tolist()), g.index.shape, level))
+
+
+def _as_pairs(a: np.ndarray) -> np.ndarray:
+    """A complex array as a float array with a trailing [re, im] axis; others as they are."""
+    return np.stack([a.real, a.imag], axis=-1) if a.dtype.kind == "c" else a
+
+
+def _nest(texts, shape, level):
+    """Join the texts of the items of arrays of shape `shape`, in C order, into
+    one text per array whose opening line is indented level steps.
+
+    One axis at a time from the innermost: each group of shape[axis]
+    consecutive texts fills a template with that axis's brackets, commas
+    and indents.  The texts must already sit at depth level + len(shape).
+    """
+    for axis in reversed(range(len(shape))):
         depth = level + axis
         inner = "\n" + _INDENT * (depth + 1)
-        k = a.shape[axis]
+        k = shape[axis]
         template = "[" + inner + ("," + inner).join(["%s"] * k) + "\n" + _INDENT * depth + "]"
-        texts = map(template.__mod__, zip(*[texts] * k))
-    return next(texts)
+        texts = map(template.__mod__, zip(*[iter(texts)] * k))
+    return texts
 
 
 def parse_system(text) -> BorderSystem:

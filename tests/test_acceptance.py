@@ -88,7 +88,8 @@ def test_criterion_3_univariate_degeneration():
         a = -monic[1:][::-1]  # x^{m+1} = sum_j a_j x^j
         I = total_degree_set(1, m)
         sys_ = BorderSystem(I, border(I), a.reshape(1, -1).astype(complex))
-        A = build_family(sys_).matrices[0]
+        fam = build_family(sys_)
+        A = fam.normal_forms[fam.shifts[0]]
         structural = np.array_equal(A[:-1], np.eye(m + 1, dtype=complex)[1:]) and np.array_equal(
             A[-1], a.astype(complex)
         )
@@ -149,7 +150,7 @@ def test_criterion_6_structural_invariants():
         sys_ = system_from_nodes(I, random_separated_nodes(rng, n, len(I), sep=0.05))
         fam = build_family(sys_)
         coeff_rows = {tuple(np.round(row, 12)) for row in sys_.coeffs}
-        for A in fam.matrices:
+        for A in (fam.normal_forms[index] for index in fam.shifts):
             for row in A:
                 nz = np.nonzero(row)[0]
                 is_unit = len(nz) == 1 and row[nz[0]] == 1.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from border_eig import (
     border,
     build_family,
     commutation_report,
+    criterion,
     poisedness,
     residual,
     system_from_nodes,
@@ -18,6 +20,8 @@ from border_eig import (
 from border_eig.system import basis_values
 
 from conftest import random_lower_set, random_separated_nodes
+
+EPS = np.finfo(float).eps
 
 
 def univariate(coeff_row):
@@ -39,15 +43,16 @@ class TestBuildMatrix:
     def test_univariate_companion(self):
         a0, a1 = 0.75, -0.25
         s = univariate([a0, a1])
-        A = build_family(s).matrices[0]
+        fam = build_family(s)
+        A = fam.normal_forms[fam.shifts[0]]
         assert np.array_equal(A, np.array([[0, 1], [a0, a1]], dtype=complex))
         # characteristic polynomial x^2 - a1 x - a0, checked via trace/det
         assert np.trace(A) == pytest.approx(a1)
         assert np.linalg.det(A) == pytest.approx(-a0)
 
     def test_idempotent_pair(self, idempotent_system):
-        A1 = build_family(idempotent_system).matrices[0]
-        A2 = build_family(idempotent_system).matrices[1]
+        fam = build_family(idempotent_system)
+        A1, A2 = (fam.normal_forms[index] for index in fam.shifts)
         assert np.allclose(A1, [[0, 1, 0], [0, 1, 0], [0, 0, 0]])
         assert np.allclose(A2, [[0, 0, 1], [0, 0, 0], [0, 0, 1]])
         assert np.allclose(A1 @ A2, 0)
@@ -55,8 +60,8 @@ class TestBuildMatrix:
 
     def test_noncommuting_pair(self):
         s = noncommuting_system()
-        A1 = build_family(s).matrices[0]
-        A2 = build_family(s).matrices[1]
+        fam = build_family(s)
+        A1, A2 = (fam.normal_forms[index] for index in fam.shifts)
         assert np.allclose(A1, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         assert np.allclose(A2, [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
         assert not np.allclose(A1 @ A2, A2 @ A1)
@@ -71,7 +76,7 @@ class TestBuildMatrix:
             s = system_from_nodes(I, nodes)
             fam = build_family(s)
             coeff_rows = {tuple(np.round(row, 12)) for row in s.coeffs}
-            for A in fam.matrices:
+            for A in (fam.normal_forms[index] for index in fam.shifts):
                 for row in A:
                     is_unit = (
                         np.count_nonzero(row) == 1 and row[np.nonzero(row)][0] == 1.0
@@ -97,7 +102,8 @@ class TestBuildMatrix:
         for z in nodes:
             assert residual(s, z) <= 1e-10
             v = basis_values(I, z)
-            for i, A in enumerate(fam.matrices):
+            for i, index in enumerate(fam.shifts):
+                A = fam.normal_forms[index]
                 err = np.linalg.norm(A @ v - z[i] * v)
                 assert err <= 1e-8 * (1 + np.linalg.norm(A)) * np.linalg.norm(v)
 
@@ -133,7 +139,7 @@ def test_gather_matches_row_loop(n, steps, seed):
     fam = build_family(s)
     assert len(fam) == n
     for i in range(n):
-        assert np.array_equal(fam.matrices[i], reference(s, i))
+        assert np.array_equal(fam.normal_forms[fam.shifts[i]], reference(s, i))
         units = sum(shift(beta, i) in I for beta in I.members)
         assert fam.unit_row_count[i] == units
         assert fam.coeff_row_count[i] == len(I) - units
@@ -148,25 +154,25 @@ class TestDtype:
     def test_real_coefficients_give_float64(self):
         s = self.system()
         fam = build_family(s)
-        assert all(A.dtype == np.float64 for A in fam.matrices)
-        for i, A in enumerate(fam.matrices):
-            assert np.array_equal(A, reference(s, i))
+        assert fam.normal_forms.dtype == np.float64
+        for i, index in enumerate(fam.shifts):
+            assert np.array_equal(fam.normal_forms[index], reference(s, i))
 
     def test_one_imaginary_coefficient_keeps_complex(self):
         s = self.system()
         s.coeffs[4, 2] += 1e-300j
         fam = build_family(s)
-        assert all(A.dtype == np.complex128 for A in fam.matrices)
-        for i, A in enumerate(fam.matrices):
-            assert np.array_equal(A, reference(s, i))
+        assert fam.normal_forms.dtype == np.complex128
+        for i, index in enumerate(fam.shifts):
+            assert np.array_equal(fam.normal_forms[index], reference(s, i))
 
     def test_complex_dtype_keeps_signed_zeros(self):
         s = self.system()
         s.coeffs.imag = -0.0
-        assert all(A.dtype == np.float64 for A in build_family(s).matrices)
+        assert build_family(s).normal_forms.dtype == np.float64
         fam = build_family(s, complex)
-        for i, A in enumerate(fam.matrices):
-            ref = reference(s, i)
+        for i, index in enumerate(fam.shifts):
+            A, ref = fam.normal_forms[index], reference(s, i)
             assert np.array_equal(np.signbit(A.imag), np.signbit(ref.imag))
             assert np.count_nonzero(np.signbit(A.imag)) == fam.coeff_row_count[i] * len(A)
 
@@ -179,7 +185,9 @@ def test_eigen_identity_at_complex_nodes(n, steps, seed):
     nodes = rng.normal(size=(len(I), n)) + 1j * rng.normal(size=(len(I), n))
     assume(poisedness(I, nodes).poised)
     s = system_from_nodes(I, nodes)
-    for i, A in enumerate(build_family(s).matrices):
+    fam = build_family(s)
+    for i, index in enumerate(fam.shifts):
+        A = fam.normal_forms[index]
         for z, v in zip(nodes, basis_values(I, nodes)):
             err = np.linalg.norm(A @ v - z[i] * v)
             assert err <= 1e-8 * (1 + np.linalg.norm(A)) * np.linalg.norm(v)
@@ -191,7 +199,8 @@ class TestCompanionDegeneration:
         rng = np.random.default_rng(m)
         row = rng.normal(size=m + 1)
         s = univariate(list(row))
-        A = build_family(s).matrices[0]
+        fam = build_family(s)
+        A = fam.normal_forms[fam.shifts[0]]
         # determinant-expansion oracle: char poly of the companion matrix
         # must be x^{m+1} - a_m x^m - ... - a_0
         cp = np.poly(A)  # leading-first coefficients of det(xI - A)
@@ -219,3 +228,99 @@ class TestCommutation:
         assert rep.max_defect == pytest.approx(math.sqrt(2) / 2)
         assert rep.defects[0, 1] == rep.defects[1, 0]
         assert rep.defects[0, 0] == 0.0
+
+
+def random_system(n, m, seed, dtype):
+    """Random coefficients over total_degree_set(n, m): a non-commuting family."""
+    rng = np.random.default_rng(seed)
+    I = total_degree_set(n, m)
+    shape = (len(border(I)), len(I))
+    coeffs = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
+    return BorderSystem(I, border(I), coeffs)
+
+
+def commuting_system(n, m, seed, dtype):
+    """The system of total_degree_set(n, m) vanishing on random real or complex nodes."""
+    rng = np.random.default_rng(seed)
+    I = total_degree_set(n, m)
+    nodes = rng.normal(size=(len(I), n)) + (1j * rng.normal(size=(len(I), n)) if dtype is complex else 0)
+    return system_from_nodes(I, nodes)
+
+
+product_cases = pytest.mark.parametrize("make, dtype", [
+    (random_system, float), (random_system, complex),
+    (commuting_system, float), (commuting_system, complex),
+])
+
+
+class TestGatheredProducts:
+    """The products through the shift table against the dense A_i they stand for."""
+
+    @product_cases
+    def test_norms_match_dense(self, make, dtype):
+        fam = build_family(make(3, 3, 5, dtype))
+        dense = [np.linalg.norm(A) for A in fam.normal_forms[fam.shifts]]
+        assert np.array_equal(commutation_report(fam, 1e-8).norms, dense)
+
+    @product_cases
+    def test_defects_match_dense(self, make, dtype):
+        fam = build_family(make(3, 3, 5, dtype))
+        assert fam.normal_forms.dtype == np.dtype(dtype)
+        rep = commutation_report(fam, 1e-8)
+        A = [fam.normal_forms[index] for index in fam.shifts]
+        for i in range(3):
+            for j in range(3):
+                scale = np.linalg.norm(A[i]) * np.linalg.norm(A[j])
+                dense = np.linalg.norm(A[i] @ A[j] - A[j] @ A[i])
+                # a few ulps of the products' scale, in the commutator and in the norms
+                assert abs(rep.defects[i, j] * max(1.0, scale) - dense) <= 64 * EPS * scale
+        assert rep.commuting == (make is commuting_system)
+
+    @product_cases
+    def test_products_with_eigenbasis_match_dense(self, make, dtype):
+        """A_i V = [V; coeffs @ V][shifts[i]]: exact on unit rows, close on the
+        others; criterion's coordinates and extraction residual come from it."""
+        fam = build_family(make(3, 3, 5, dtype))
+        v = criterion(fam)
+        V, Z = v.decomposition.eigenvectors, v.coordinates
+        stacked = np.concatenate([V, fam.normal_forms[fam.size:] @ V])
+        extraction = 0.0
+        for i, index in enumerate(fam.shifts):
+            A = fam.normal_forms[index]
+            AV = A @ V
+            unit = index < fam.size
+            assert np.array_equal(stacked[index][unit], AV[unit])
+            assert np.allclose(stacked[index], AV, rtol=0, atol=64 * EPS * np.linalg.norm(A))
+            extraction = max(extraction, float(np.max(np.linalg.norm(AV - V * Z[:, i], axis=0))))
+            if v.all_semisimple:
+                left = np.linalg.inv(V)
+                expected = np.sum(left.T * AV, axis=0)
+                assert np.allclose(Z[:, i], expected, rtol=1e-9, atol=1e-9 * np.linalg.norm(A))
+        assert v.extraction_residual == pytest.approx(extraction, rel=1e-6, abs=1e-12)
+
+    def test_products_hold_a_few_square_matrices_at_a_time(self):
+        # n=60, m=1: #J = 1830 is 30 times #I = 61, so the n products
+        # coeffs @ A_j held together would take 1830 squares (54 MB); the
+        # dense family is 60 squares
+        fam = build_family(random_system(60, 1, 5, float))
+        square = fam.size**2 * fam.normal_forms.itemsize
+        tracemalloc.start()
+        try:
+            rep = commutation_report(fam, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * square
+        A = fam.normal_forms[fam.shifts[0]]
+        for j in range(1, 60):
+            B = fam.normal_forms[fam.shifts[j]]
+            scale = np.linalg.norm(A) * np.linalg.norm(B)
+            dense = np.linalg.norm(A @ B - B @ A)
+            assert abs(rep.defects[0, j] * scale - dense) <= 64 * EPS * scale
+
+    def test_family_is_normal_forms_and_shifts(self):
+        s = commuting_system(3, 3, 5, complex)
+        fam = build_family(s)
+        assert not hasattr(fam, "matrices")
+        assert np.array_equal(fam.normal_forms, np.concatenate([np.eye(len(s.I)), s.coeffs]))
+        assert fam.shifts.shape == (3, len(s.I))

@@ -21,6 +21,7 @@ from border_eig import (
     total_degree_set,
 )
 from border_eig.system import (
+    RowGather,
     _as_complex,
     _coefficient_row,
     dumps,
@@ -257,6 +258,26 @@ _float_arrays = st.one_of(
         (np.complex128, st.complex_numbers(allow_nan=True, allow_infinity=True)),
     ]
 )
+
+
+@st.composite
+def _gathers(draw):
+    """A RowGather of a finite or non-finite float or complex `rows` (rows of
+    any shape, empty ones too) through an index of up to two axes."""
+    dtype, elements = draw(st.sampled_from([
+        (np.float64, st.floats(allow_nan=False, allow_infinity=False)),
+        (np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+        (np.float64, st.floats()),
+        (np.complex128, st.complex_numbers(allow_nan=True, allow_infinity=True)),
+    ]))
+    count = draw(st.integers(1, 4))
+    row_shape = draw(array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+    rows = draw(arrays(dtype, (count, *row_shape), elements=elements))
+    index = draw(arrays(np.intp, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+                        elements=st.integers(-count, count - 1)))
+    return RowGather(rows, index)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _float_arrays,
     lambda children: st.lists(children, max_size=4)
@@ -276,6 +297,18 @@ class TestJsonWriter:
     @example(obj={"z": np.ones((2, 3, 4)), "n": [None, True, False, -7, "\u00e9\n\""]})
     def test_matches_stdlib(self, obj):
         assert dumps(obj) == json.dumps(plain(obj), indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=_gathers())
+    @example(g=RowGather(np.array([[-0.0 - 0.0j, 1 - 0.0j], [complex(-0.0, 2.5), 0j]]),
+                         np.array([[1, 0], [0, 1]])))
+    @example(g=RowGather(np.array([[1.5, -2.0], [3.0, 4.0]]), np.array([[0, 0, 0], [1, 1, 0]])))
+    @example(g=RowGather(np.array([[1.0 + 0j], [-0.5 - 0.0j]]), np.array([[1], [1]])))  # #I = 1
+    @example(g=RowGather(np.array([[1.0, complex(0.0, np.nan)], [np.inf, -0.0]]),
+                         np.array([[0, 1], [1, 1]])))
+    def test_gather_matches_stdlib(self, g):
+        dense = np.asarray(g.rows[g.index])
+        assert dumps({"A": g, "l": [g]}) == json.dumps(plain({"A": dense, "l": [dense]}), indent=2)
 
     def test_refuses_what_json_refuses(self):
         with pytest.raises(TypeError):
