@@ -35,7 +35,3 @@ class UnisolvenceError(BorderEigError):
 
 class EigenConvergenceError(BorderEigError):
     """The QR eigensolver failed to converge."""
-
-    def __init__(self, message, converged_size=0):
-        self.converged_size = converged_size
-        super().__init__(message)

@@ -16,9 +16,15 @@ b_j, b_k (Moeller & Stetter 1995): they are told apart when
 
 read off the gap-ratio matrix of `_gap_ratios` as R[j, k] > 1.  It has
 three uses: `separation` is the smallest ratio among M's eigenvalues
-(simple spectrum iff > 1); the per-matrix reports link coordinates the
-rule cannot tell apart and that also lie within the tol_cluster radius;
-and `_dedup` merges unseparated eigenvalues' roots at a looser cut.
+(simple spectrum iff > 1); the per-coordinate reports link coordinates
+the rule cannot tell apart and that also lie within the TOL_CLUSTER
+radius; and `_dedup` links roots at a looser cut when their eigenvalues
+are unseparated.
+
+One rule groups values (Corless, Gianni & Trager 1997): the connected
+components (`_components`) of a "near" graph, each component one cluster.
+A chain of values, each near the next, is one cluster even where its ends
+are far apart.  The per-coordinate clusters and `_dedup` both use it.
 """
 
 from __future__ import annotations
@@ -33,26 +39,29 @@ from .matrices import CommutationReport, MultMatrixFamily, build_family, commuta
 from .system import BorderSystem, relation_jacobian, relation_values, residual
 
 EPS = np.finfo(float).eps
+# per-coordinate reports: coordinates within TOL_CLUSTER * (1 + ||A_i||_F)
+# that the separation rule (module docstring) cannot tell apart link into
+# one cluster
+TOL_CLUSTER = 1e-7
+# roots within TOL_DEDUP * (1 + max |z|) of each other count as one (see _dedup)
+TOL_DEDUP = 1e-6
+# eigen fails when an eigenpair residual exceeds TOL_EIG * (1 + ||A||_F)
+TOL_EIG = 1e-8
 
 
 @dataclass
 class Config:
-    """Tolerances and knobs for the criterion and the solver, one decision each."""
+    """The values a caller decides: one verdict, acceptance or seed each.
+
+    Every field is also a CLI flag and a BORDER_EIG_* variable (see cli).
+    """
 
     # commuting iff every normalized commutator defect (see matrices) is at most this
     tol_commute: float = 1e-8
-    # per-matrix reports: coordinates within tol_cluster * (1 + ||A_i||_F)
-    # that the separation rule (module docstring) cannot tell apart link
-    # into one cluster
-    tol_cluster: float = 1e-7
-    # roots within tol_dedup * (1 + max |z|) of each other count as one
-    tol_dedup: float = 1e-6
     # a root whose residual exceeds tol_accept is flagged and not counted
     tol_accept: float = 1e-6
     # nodes are poised iff sigma_min(V) > tol_poised * sigma_max(V)
     tol_poised: float = 1e-10
-    # eigen fails when an eigenpair residual exceeds tol_eig * (1 + ||A||_F)
-    tol_eig: float = 1e-8
     # seeds the coefficients of the generic combination M
     seed: int = 42
 
@@ -66,23 +75,17 @@ class EigenDecomposition:
 
 @dataclass
 class SemisimplicityReport:
-    """One matrix's clustered eigenvalues; geometric and semisimple are None unless maximal."""
+    """One coordinate's clustered eigenvalues; the algebraic counts sum to #I."""
 
-    clusters: list[tuple[complex, int, int | None]]  # (mean, algebraic, geometric)
-    semisimple: bool | None
-    worst_gap: float
+    clusters: list[tuple[complex, int]]  # (mean, algebraic)
+    worst_gap: float  # smallest distance between two cluster means
 
     def to_json(self):
         return {
             "clusters": [
-                {
-                    "eigenvalue": [lam.real, lam.imag],
-                    "algebraic": alg,
-                    "geometric": geo,
-                }
-                for lam, alg, geo in self.clusters
+                {"eigenvalue": [lam.real, lam.imag], "algebraic": alg}
+                for lam, alg in self.clusters
             ],
-            "semisimple": self.semisimple,
             "worst_gap": self.worst_gap if math.isfinite(self.worst_gap) else None,
         }
 
@@ -142,7 +145,7 @@ class SolutionSet:
         }
 
 
-def eigen(A: np.ndarray, tol_eig: float = 1e-8) -> EigenDecomposition:
+def eigen(A: np.ndarray) -> EigenDecomposition:
     """Dense nonsymmetric eigendecomposition with unit-norm eigenvectors.
 
     A real A stays real for the eigensolver and the residual check, so its
@@ -150,7 +153,7 @@ def eigen(A: np.ndarray, tol_eig: float = 1e-8) -> EigenDecomposition:
     non-real ones come in exact conjugate pairs; the eigenvalues and
     eigenvectors are returned complex either way.  Raises
     EigenConvergenceError when A has a non-finite entry, when the QR
-    iteration fails, or when an eigenpair residual exceeds its tolerance.
+    iteration fails, or when an eigenpair residual exceeds TOL_EIG * (1 + ||A||_F).
     """
     A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else float)
     if not np.all(np.isfinite(A)):
@@ -161,12 +164,9 @@ def eigen(A: np.ndarray, tol_eig: float = 1e-8) -> EigenDecomposition:
         raise EigenConvergenceError(f"eigensolver did not converge: {exc}") from exc
     V = V / np.linalg.norm(V, axis=0, keepdims=True)
     res = np.linalg.norm(A @ V - V * w, axis=0)
-    scale = tol_eig * (1.0 + np.linalg.norm(A))
+    scale = TOL_EIG * (1.0 + np.linalg.norm(A))
     if np.any(res > scale):
-        raise EigenConvergenceError(
-            f"eigenpair residual {res.max():.3e} exceeds {scale:.3e}",
-            converged_size=int(np.sum(res <= scale)),
-        )
+        raise EigenConvergenceError(f"eigenpair residual {res.max():.3e} exceeds {scale:.3e}")
     return EigenDecomposition(w.astype(complex), V.astype(complex), res)
 
 
@@ -253,7 +253,7 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
         M = np.zeros((fam.size, fam.size), dtype=nf.dtype)
         for ci, index in zip(c, fam.shifts):
             M += ci * nf[index]
-    dec = eigen(M, cfg.tol_eig)
+    dec = eigen(M)
     V = dec.eigenvectors
     with np.errstate(all="ignore"):
         try:
@@ -264,7 +264,6 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
         bound = EPS * np.linalg.norm(M) * kappa
     separation = float(_gap_ratios(dec.eigenvalues, bound).min()) if len(bound) > 1 else None
     simple = separation is None or separation > 1.0
-    maximal = comm.commuting and simple
     left = Y.T if simple else V.conj()
     # A_i V = (normal_forms @ V)[shifts[i]], with normal_forms @ V = [V; coeffs @ V]
     products = np.concatenate([V, nf[fam.size:] @ V])
@@ -276,26 +275,27 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
         extraction.append(float(np.max(np.linalg.norm(AV - V * z, axis=0))))
         # A_i shares M's eigenvectors, hence kappa
         link = (_gap_ratios(z, EPS * norm * kappa) <= 1.0) & (
-            np.abs(np.subtract.outer(z, z)) <= cfg.tol_cluster * (1.0 + norm))
+            np.abs(np.subtract.outer(z, z)) <= TOL_CLUSTER * (1.0 + norm))
         groups = _components(link)
         means = np.array([z[g[0]] if len(g) == 1 else np.mean(z[g]) for g in groups])
         gaps = np.abs(np.subtract.outer(means, means))[np.triu_indices(len(means), 1)]
-        clusters = [(complex(lam), len(g), len(g) if maximal else None) for lam, g in zip(means, groups)]
-        reports.append(SemisimplicityReport(clusters, True if maximal else None, gaps.min(initial=math.inf)))
+        clusters = [(complex(lam), len(g)) for lam, g in zip(means, groups)]
+        reports.append(SemisimplicityReport(clusters, gaps.min(initial=math.inf)))
     Z = np.array(columns).T
-    return Verdict(comm.commuting, simple, maximal, comm, reports, separation, dec, Z, bound,
-                   max(extraction))
+    return Verdict(comm.commuting, simple, comm.commuting and simple, comm, reports, separation,
+                   dec, Z, bound, max(extraction))
 
 
-def _gauss_newton(sys: BorderSystem, Z: np.ndarray) -> np.ndarray:
-    """One Gauss-Newton step for every root (the rows of Z) together.
+def _gauss_newton(sys: BorderSystem, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Gauss-Newton step for every root (the rows of Z) together: the
+    stepped roots and their residuals.
 
     Each root solves one least-squares problem against the batched relation
     Jacobian.  A root keeps its step only when the step is finite and does
     not raise its residual; a root whose residual is exactly 0 takes no step.
     """
-    current = residual(sys, Z)
-    live = np.flatnonzero(current > 0.0)
+    res = residual(sys, Z)
+    live = np.flatnonzero(res > 0.0)
     at = Z[live]
     steps = [np.linalg.lstsq(J, -v, rcond=None)[0]
              for J, v in zip(relation_jacobian(sys, at), relation_values(sys, at))]
@@ -304,28 +304,27 @@ def _gauss_newton(sys: BorderSystem, Z: np.ndarray) -> np.ndarray:
     cand_res = np.full(live.size, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         cand_res[finite] = residual(sys, cand[finite])
-    take = cand_res <= current[live]
+    take = cand_res <= res[live]
     Z = Z.copy()
     Z[live[take]] = cand[take]
-    return Z
+    res[live[take]] = cand_res[take]
+    return Z, res
 
 
-def _dedup(Z: np.ndarray, tol_dedup: float, w: np.ndarray, bound: np.ndarray) -> list[int]:
-    """Indices of distinct roots among the rows of Z, first-seen order.
+def _dedup(Z: np.ndarray, w: np.ndarray, bound: np.ndarray) -> list[int]:
+    """Indices of distinct roots among the rows of Z, ascending: the first
+    row of each cluster (module docstring) of the rows' near graph.
 
-    Row k repeats an earlier row r within tol_dedup * (1 + max |Z|), or within
-    sqrt(tol_dedup) * (1 + max |Z|) when their eigenvalues w_r, w_k of M are
-    not separated: copies of a root of multiplicity mu split by about
-    eps^(1/mu), and Gauss-Newton closes that gap only linearly.
+    Rows j and k are near within TOL_DEDUP * (1 + max |Z|), or within
+    sqrt(TOL_DEDUP) * (1 + max |Z|) when their eigenvalues w_j, w_k of M
+    are not separated: copies of a root of multiplicity mu split by about
+    eps^(1/mu), and Gauss-Newton closes that gap only linearly.  A chain of
+    rows, each near the next, is one root even where its ends are not near.
     """
     scale = 1.0 + float(np.max(np.abs(Z)))
-    separated = _gap_ratios(w, bound) > 1.0
-    reps: list[int] = []
-    for k in range(len(Z)):
-        cut = np.where(separated[reps, k], tol_dedup, math.sqrt(tol_dedup)) * scale
-        if np.all(np.linalg.norm(Z[reps] - Z[k], axis=1) > cut):
-            reps.append(k)
-    return reps
+    cut = np.where(_gap_ratios(w, bound) > 1.0, TOL_DEDUP, math.sqrt(TOL_DEDUP)) * scale
+    dist = np.sqrt(sum(np.abs(np.subtract.outer(z, z)) ** 2 for z in Z.T))
+    return [int(g[0]) for g in _components(dist <= cut)]
 
 
 def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
@@ -336,16 +335,11 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
     (`_gauss_newton`) and deduplication.  The strategy is "generic", or
     "generic-degenerate" when M's spectrum is not simple.
     """
-    fam = build_family(sys)
-    verdict = criterion(fam, cfg)
-    dec, Z = verdict.decomposition, verdict.coordinates
+    verdict = criterion(build_family(sys), cfg)
     degenerate = not verdict.all_semisimple
-    Z = _gauss_newton(sys, Z)
-
-    keep = _dedup(Z, cfg.tol_dedup, dec.eigenvalues, verdict.error_bounds)
-    roots = list(Z[keep])
-    res = residual(sys, Z[keep])
-    residuals = res.tolist()
+    Z, res = _gauss_newton(sys, verdict.coordinates)
+    keep = _dedup(Z, verdict.decomposition.eigenvalues, verdict.error_bounds)
+    roots, res = list(Z[keep]), res[keep]
     flagged = (res > cfg.tol_accept).tolist()
     # flagged candidates stay in the report but do not count as solutions
     distinct = sum(1 for f in flagged if not f)
@@ -365,4 +359,4 @@ def solve(sys: BorderSystem, cfg: Config = Config()) -> SolutionSet:
             f"for #I = {len(sys.I)}; tolerances may be inconsistent"
         )
     strategy = "generic-degenerate" if degenerate else "generic"
-    return SolutionSet(roots, residuals, flagged, distinct, verdict, strategy, diagnostics)
+    return SolutionSet(roots, res.tolist(), flagged, distinct, verdict, strategy, diagnostics)

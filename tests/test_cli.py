@@ -64,6 +64,19 @@ class TestCheck:
         obj = json.loads(out)
         assert obj["verdict"]["all_semisimple"] is False
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_cluster_schema(self, capsys, idempotent_file, nilpotent_file, command):
+        # each coordinate's clusters: exactly an eigenvalue and its algebraic
+        # count, the counts summing to #I, maximal or not
+        for path, size in ((idempotent_file, 3), (nilpotent_file, 2)):
+            _, out, _ = run_cli(capsys, command, path)
+            obj = json.loads(out)
+            reports = (obj if command == "check" else obj["diagnostics"])["semisimplicity"]
+            for rep in reports:
+                assert set(rep) == {"clusters", "worst_gap"}
+                assert all(set(c) == {"eigenvalue", "algebraic"} for c in rep["clusters"])
+                assert sum(c["algebraic"] for c in rep["clusters"]) == size
+
     def test_truncated_json_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"index_set": {')
@@ -490,6 +503,9 @@ class TestConfig:
         error = json.loads(err)
         assert error["error"] == "SchemaError" and source in error["message"]
 
+    def test_config_holds_only_caller_decisions(self):
+        assert [f.name for f in fields(Config)] == ["tol_commute", "tol_accept", "tol_poised", "seed"]
+
     @pytest.mark.parametrize("command", ["check", "solve", "from-points", "verify", "matrices"])
     def test_every_field_has_a_flag_and_a_variable(self, monkeypatch, command):
         positional = {"from-points": ["--index-set", "{}", "--points", "p.json"],
@@ -506,8 +522,9 @@ class TestConfig:
             monkeypatch.delenv(var)
 
     def test_refine_flag_is_gone(self, capsys, x2_is_1_file):
-        # so is --size-cap: admission is a fixed rule (indexsets.ADMISSION_BUDGET)
-        for flag in ("--refine", "--size-cap"):
+        # so is --size-cap: admission is a fixed rule (indexsets.ADMISSION_BUDGET);
+        # and the clustering, dedup and eigenpair tolerances are constants of spectral
+        for flag in ("--refine", "--size-cap", "--tol-cluster", "--tol-dedup", "--tol-eig"):
             with pytest.raises(SystemExit) as exc:
                 main(["solve", x2_is_1_file, flag, "1"])
             assert exc.value.code == 2

@@ -1,7 +1,10 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from border_eig import (
     BorderSystem,
@@ -19,7 +22,7 @@ from border_eig import (
 
 from border_eig import spectral
 from border_eig.errors import EigenConvergenceError
-from border_eig.spectral import _components, _gap_ratios, _gauss_newton
+from border_eig.spectral import TOL_DEDUP, _components, _dedup, _gap_ratios, _gauss_newton
 from conftest import matching_error, random_separated_nodes
 
 
@@ -250,32 +253,31 @@ class TestSeparationRule:
 
 
 class TestSemisimplicity:
-    """The per-matrix reports, rebuilt from the joint eigenbasis."""
+    """The per-coordinate reports, read off the joint eigenbasis."""
 
     def test_jordan_block(self):
         v = criterion(build_family(univariate([0.0, 0.0])))
         [rep] = v.semisimplicity
-        assert rep.semisimple is None
-        [(lam, alg, geo)] = rep.clusters
-        assert abs(lam) <= 1e-12 and alg == 2 and geo is None
+        [(lam, alg)] = rep.clusters
+        assert abs(lam) <= 1e-12 and alg == 2
 
     def test_idempotent_matrix(self, idempotent_system):
         fam = build_family(idempotent_system)
         A1 = fam.normal_forms[fam.shifts[0]]
         assert np.allclose(A1 @ A1, A1)  # idempotent, hence diagonalizable
         rep = criterion(fam).semisimplicity[0]
-        assert rep.semisimple
-        mults = sorted((round(lam.real), alg, geo) for lam, alg, geo in rep.clusters)
-        assert mults == [(0, 2, 2), (1, 1, 1)]
+        mults = sorted((round(lam.real), alg) for lam, alg in rep.clusters)
+        assert mults == [(0, 2), (1, 1)]
 
     def test_close_coordinates_stay_apart(self):
-        # x-coordinates 1e-8 apart lie inside the tol_cluster radius, but far
+        # x-coordinates 1e-8 apart lie inside the TOL_CLUSTER radius, but far
         # outside their error bounds: distinct eigenvalues of A_1, not a mean
         nodes = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0 + 1e-8, 1.0])]
         v = criterion(build_family(system_from_nodes(total_degree_set(2, 1), nodes)))
         assert v.maximal
-        values = sorted(lam.real for lam, alg, geo in v.semisimplicity[0].clusters)
+        values = sorted(lam.real for lam, alg in v.semisimplicity[0].clusters)
         assert values == pytest.approx([0.0, 1.0, 1.0 + 1e-8], abs=1e-13)
+        assert [alg for _, alg in v.semisimplicity[0].clusters] == [1, 1, 1]
 
     def test_simple_spectrum_makes_no_svd(self, monkeypatch):
         # the only SVD of the criterion is the one inside eigen
@@ -293,7 +295,108 @@ class TestSemisimplicity:
         monkeypatch.setattr(spectral, "eigen", then_forbid_svd)
         v = criterion(build_family(unit_modulus_system(2, 3, 3)))
         assert v.maximal
-        assert all(geo == alg for rep in v.semisimplicity for _, alg, geo in rep.clusters)
+        assert [sum(alg for _, alg in rep.clusters) for rep in v.semisimplicity] == [10, 10]
+
+
+def unit_square():
+    """The roots {0, 1}^2: x^2 = x, y^2 = y, x^2 y = xy, x y^2 = xy."""
+    I = validate_lower_set([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
+    return system_from_nodes(I, [np.array(p, dtype=float) for p in I.members])
+
+
+class TestReportContract:
+    """What bench/classify.py reads: each coordinate's clusters count every
+    eigenvalue of M once, so the algebraic counts sum to #I."""
+
+    cases = {
+        "unit-n2m3": (lambda: unit_modulus_system(2, 3, 3), True),
+        "unit-n3m2": (lambda: unit_modulus_system(3, 2, 5), True),
+        "unit-square": (unit_square, True),
+        "triple-root": (triple_root_system, False),
+        "jordan-block": (lambda: univariate([0.0, 0.0]), False),
+    }
+
+    @pytest.mark.parametrize("case", cases)
+    def test_algebraic_counts_sum_to_size(self, case):
+        make, maximal = self.cases[case]
+        s = make()
+        v = criterion(build_family(s))
+        assert v.maximal is maximal
+        assert len(v.semisimplicity) == s.dimension
+        for rep in v.semisimplicity:
+            assert sum(alg for _, alg in rep.clusters) == len(s.I)
+            assert all(alg >= 1 for _, alg in rep.clusters)
+
+    def test_unit_square_clusters(self):
+        v = criterion(build_family(unit_square()))
+        for rep in v.semisimplicity:
+            assert {round(lam.real): alg for lam, alg in rep.clusters} == {0: 2, 1: 2}
+            assert rep.worst_gap == pytest.approx(1.0)
+
+
+def greedy_dedup(Z, w, bound):
+    """The former per-root loop: row k is a new root unless it lies within the
+    cut of a root kept before it."""
+    scale = 1.0 + float(np.max(np.abs(Z)))
+    separated = _gap_ratios(w, bound) > 1.0
+    reps = []
+    for k in range(len(Z)):
+        cut = np.where(separated[reps, k], TOL_DEDUP, math.sqrt(TOL_DEDUP)) * scale
+        if np.all(np.linalg.norm(Z[reps] - Z[k], axis=1) > cut):
+            reps.append(k)
+    return reps
+
+
+def near_graph(Z, w, bound):
+    """The pairs within the cut, one pair at a time."""
+    scale = 1.0 + float(np.max(np.abs(Z)))
+    separated = _gap_ratios(w, bound) > 1.0
+    k = len(Z)
+    near = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(k):
+            tol = TOL_DEDUP if separated[i, j] else math.sqrt(TOL_DEDUP)
+            near[i, j] = np.linalg.norm(Z[i] - Z[j]) <= tol * scale
+    return near
+
+
+@st.composite
+def roots_near_a_grid(draw):
+    """Rows of Z within `spread` of integer grid points, and eigenvalues of M
+    that are separated exactly when their labels differ (gap ratio 0 or at
+    least 1.25).  A spread of 0.2 TOL_DEDUP keeps copies of a grid point within
+    the tight cut; 30 TOL_DEDUP puts them between the two cuts."""
+    k, n = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    centers = np.reshape(draw(st.lists(st.integers(-2, 2), min_size=k * n, max_size=k * n)), (k, n))
+    parts = draw(st.lists(st.floats(-1, 1), min_size=2 * k * n, max_size=2 * k * n))
+    offsets = np.reshape(parts, (2, k, n))
+    spread = draw(st.sampled_from([0.2, 30.0])) * TOL_DEDUP
+    labels = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    Z = centers + spread * (offsets[0] + 1j * offsets[1])
+    return Z, np.array(labels, dtype=complex), np.full(k, 0.4)
+
+
+class TestDedup:
+    """One root per connected component of the near graph."""
+
+    def test_chain_is_one_root(self):
+        # three roots 0.8 cuts apart, with separated eigenvalues: the first and
+        # the last are 1.6 cuts apart, yet one chain links them
+        w, bound = np.array([0, 1, 2], dtype=complex), np.zeros(3)
+        step = 0.8 * TOL_DEDUP * 2.0  # the cut is TOL_DEDUP * (1 + max |Z|) > 2 TOL_DEDUP
+        Z = (1.0 + step * np.arange(3)).astype(complex)[:, None]
+        assert _dedup(Z, w, bound) == [0]
+        assert greedy_dedup(Z, w, bound) == [0, 2]
+        # beyond the cut, each is its own root
+        assert _dedup(1.0 + 2.0 * (Z - 1.0), w, bound) == [0, 1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(roots_near_a_grid())
+    def test_matches_greedy_loop_without_chains(self, case):
+        Z, w, bound = case
+        near = near_graph(Z, w, bound)
+        assume(np.array_equal(near.astype(int) @ near.astype(int) > 0, near))  # no chains
+        assert _dedup(Z, w, bound) == greedy_dedup(Z, w, bound)
 
 
 class TestCriterion:
@@ -341,8 +444,9 @@ class TestCriterion:
         nodes = list(np.random.default_rng(1).normal(size=(len(I), 2)))
         v = criterion(build_family(system_from_nodes(I, nodes)))
         assert v.maximal
-        singles = [geo for rep in v.semisimplicity for _, alg, geo in rep.clusters if alg == 1]
-        assert singles and all(geo == 1 for geo in singles)
+        # distinct N(0, 1) coordinates: every cluster of every report is one eigenvalue
+        for rep in v.semisimplicity:
+            assert [alg for _, alg in rep.clusters] == [1] * len(I)
 
 
 class TestSolve:
@@ -419,10 +523,21 @@ class TestSolve:
         # x^2 = 1: from 1e-3 the Newton step lands near 500 and raises the
         # residual, so that root stays put; 0.99 takes the Newton step; 1 is exact
         s = univariate([1.0, 0.0])
-        out = _gauss_newton(s, np.array([[1e-3], [0.99], [1.0]], dtype=complex))
+        out, res = _gauss_newton(s, np.array([[1e-3], [0.99], [1.0]], dtype=complex))
         assert out[0, 0] == 1e-3
         assert abs(out[1, 0] - (0.99**2 + 1) / 1.98) <= 1e-15
         assert out[2, 0] == 1.0
+        # the residuals are those of the returned rows, taken or not
+        assert np.array_equal(res, residual(s, out)) and res[2] == 0.0
+
+    @pytest.mark.parametrize("make", [lambda: unit_modulus_system(2, 3, 3),
+                                      lambda: gaussian_system(3, 4, 0), triple_root_system],
+                             ids=["unit-n2m3", "gauss-n3m4", "triple-root"])
+    def test_residuals_are_the_reported_roots(self, make):
+        # solve reuses the refinement step's residuals instead of evaluating again
+        s = make()
+        sol = solve(s)
+        assert np.array_equal(sol.residuals, residual(s, np.array(sol.roots)))
 
     def test_maximal_iff_distinct_count(self):
         # forward over random poised systems, converse over the degenerate corpus
