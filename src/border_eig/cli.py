@@ -11,6 +11,8 @@ deterministic for identical inputs and config.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -21,10 +23,10 @@ import numpy as np
 
 from .errors import BorderEigError, EigenConvergenceError, SchemaError, UnisolvenceError
 from .indexsets import index_set_from_json
-from .interp import _coordinates, nodes_from_json, parse_nodes, system_from_nodes
+from .interp import _point_rows, nodes_from_json, parse_nodes, system_from_nodes
 from .matrices import build_family
 from .spectral import Config, criterion, solve
-from .system import RowGather, _load_json, dumps, parse_system, residual, system_to_json
+from .system import Records, RowGather, _load_json, dumps, parse_system, residual, system_to_json
 
 _ENV_PREFIX = "BORDER_EIG_"
 
@@ -55,7 +57,15 @@ def _cast(raw, kind, source):
 
 
 def _config_from_args(args) -> Config:
-    """Config from the flags, then the BORDER_EIG_* variables (module docstring)."""
+    """Config from the flags, then the BORDER_EIG_* variables (module docstring).
+
+    A BORDER_EIG_* variable that names no field, such as a removed or
+    misspelt knob, is an input error.
+    """
+    known = [_ENV_PREFIX + f.name.upper() for f in fields(Config)]
+    for var in sorted(os.environ):
+        if var.startswith(_ENV_PREFIX) and var not in known:
+            raise SchemaError(f"unknown variable; the variables are {', '.join(known)}", var)
     values = {}
     for f in fields(Config):
         raw, source = getattr(args, f.name), _flag(f.name)
@@ -83,7 +93,8 @@ def _fail(exc, code=2):
 
 
 # Each command reads its inputs and returns (exit code, JSON object, text
-# lines); main writes them, or the error that reading raised.
+# lines, an iterable that only text mode consumes); main writes them, or
+# the error that reading raised.
 
 
 def cmd_check(args, cfg):
@@ -106,16 +117,16 @@ def cmd_check(args, cfg):
 def cmd_solve(args, cfg):
     sys_ = parse_system(_read_input(args.system))
     sol = solve(sys_, cfg)
-    lines = [
+    lines = itertools.chain([
         f"strategy: {sol.strategy}",
         f"maximal: {sol.verdict.maximal}",
         f"distinct roots: {sol.distinct_count}",
-    ] + [
+    ], (
         "  "
         + " ".join(f"{c.real:+.12g}{c.imag:+.12g}j" for c in z)
         + f"   residual {r:.3e}"
         for z, r in zip(sol.roots, sol.residuals)
-    ]
+    ))
     ok = sol.verdict.maximal and not any(sol.flagged)
     return (0 if ok else 1), sol.to_json(), lines
 
@@ -143,29 +154,26 @@ def cmd_from_points(args, cfg):
 def cmd_verify(args, cfg):
     sys_ = parse_system(_read_input(args.system))
     roots = _roots_from_json(_load_json(_read_input(args.roots)), sys_.dimension)
-    res = residual(sys_, np.array(roots).reshape(len(roots), sys_.dimension)).tolist()
-    rows = [{"z": z, "residual": r} for z, r in zip(roots, res)]
-    ok = all(row["residual"] <= cfg.tol_accept for row in rows)
-    out = {"tol_accept": cfg.tol_accept, "all_pass": ok, "roots": rows}
-    lines = [
-        " ".join(f"{c.real:+.12g}{c.imag:+.12g}j" for c in z)
-        + f"   residual {row['residual']:.3e}"
-        for z, row in zip(roots, rows)
-    ] + [f"all_pass: {ok}"]
+    res = residual(sys_, roots)
+    ok = bool(np.all(res <= cfg.tol_accept))
+    out = {"tol_accept": cfg.tol_accept, "all_pass": ok,
+           "roots": Records({"z": roots, "residual": res})}
+    lines = itertools.chain((
+        " ".join(f"{c.real:+.12g}{c.imag:+.12g}j" for c in z) + f"   residual {r:.3e}"
+        for z, r in zip(roots.tolist(), res.tolist())
+    ), [f"all_pass: {ok}"])
     return (0 if ok else 1), out, lines
 
 
-def _roots_from_json(obj, n):
-    """Accept solve output ({"roots": [{"z": ...}]}) or a points file."""
+def _roots_from_json(obj, n) -> np.ndarray:
+    """The (p, n) roots of solve output ({"roots": [{"z": ...}]}) or of a points file."""
     if isinstance(obj, dict) and "roots" in obj:
         if not isinstance(obj["roots"], list):
             raise SchemaError("must be an array", "roots")
-        roots = []
         for k, entry in enumerate(obj["roots"]):
             if not isinstance(entry, dict) or "z" not in entry:
                 raise SchemaError("expected an object with 'z'", f"roots[{k}]")
-            roots.append(_coordinates(entry["z"], n, f"roots[{k}].z"))
-        return roots
+        return _point_rows([entry["z"] for entry in obj["roots"]], n, "roots[{}].z")
     if isinstance(obj, dict) and "points" in obj:
         return nodes_from_json(obj, n)
     raise SchemaError("expected a 'roots' or 'points' object")
@@ -175,7 +183,7 @@ def cmd_matrices(args, cfg):
     sys_ = parse_system(_read_input(args.system))
     fam = build_family(sys_, complex)  # [re, im] pairs, as the coefficients were read
     out = {
-        "basis": [list(b) for b in sys_.I.members],
+        "basis": sys_.I.exponents,
         "A": RowGather(fam.normal_forms, fam.shifts),  # A_i = normal_forms[shifts[i]]
         "unit_row_count": fam.unit_row_count,
         "coeff_row_count": fam.coeff_row_count,
@@ -225,8 +233,12 @@ def build_parser():
     return parser
 
 
+# main parses with one parser per process; parsing leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, out, lines = args.func(args, _config_from_args(args))
     except EigenConvergenceError as exc:

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import SchemaError, UnisolvenceError
 from .indexsets import LowerSet, _as_int, border
-from .system import BorderSystem, _as_complex, _load_json, monomial_eval
+from .system import BorderSystem, _complex_rows, _load_json, monomial_eval
 
 
 @dataclass
@@ -106,15 +106,18 @@ def system_from_nodes(I: LowerSet, nodes, tol: float = 1e-10) -> BorderSystem:
     return BorderSystem(I, J, coeffs, poisedness=report)
 
 
-def _coordinates(value, n, path) -> np.ndarray:
-    """One point at path: an array of n numbers or [re, im] pairs."""
-    if not isinstance(value, list) or len(value) != n:
-        raise SchemaError(f"expected {n} coordinates", path)
-    return np.array([_as_complex(c, f"{path}[{j}]") for j, c in enumerate(value)])
+def _point_rows(points, n, row_path) -> np.ndarray:
+    """The (p, n) complex array of a list of points, point s at
+    row_path.format(s): each an array of n numbers or [re, im] pairs."""
+    for s, pt in enumerate(points):
+        if not isinstance(pt, list) or len(pt) != n:
+            raise SchemaError(f"expected {n} coordinates", row_path.format(s))
+    return _complex_rows(points, row_path, n)
 
 
-def nodes_from_json(obj, n_expected=None) -> list[np.ndarray]:
-    """Parse {"n": ..., "points": [[...], ...]}; bare reals accepted."""
+def nodes_from_json(obj, n_expected=None) -> np.ndarray:
+    """Parse {"n": ..., "points": [[...], ...]} into a (p, n) complex array;
+    bare reals accepted."""
     if not isinstance(obj, dict) or "points" not in obj:
         raise SchemaError("expected an object with a 'points' array")
     n = _as_int(obj.get("n", n_expected), "n", 1)
@@ -123,7 +126,7 @@ def nodes_from_json(obj, n_expected=None) -> list[np.ndarray]:
     points = obj["points"]
     if not isinstance(points, list):
         raise SchemaError("must be an array", "points")
-    return [_coordinates(pt, n, f"points[{s}]") for s, pt in enumerate(points)]
+    return _point_rows(points, n, "points[{}]")
 
 
 def parse_nodes(text, n_expected=None):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import EigenConvergenceError
 from .matrices import CommutationReport, MultMatrixFamily, build_family, commutation_report
-from .system import BorderSystem, relation_jacobian, relation_values, residual
+from .system import BorderSystem, Records, relation_jacobian, relation_values, residual
 
 EPS = np.finfo(float).eps
 # per-coordinate reports: coordinates within TOL_CLUSTER * (1 + ||A_i||_F)
@@ -82,10 +82,10 @@ class SemisimplicityReport:
 
     def to_json(self):
         return {
-            "clusters": [
-                {"eigenvalue": [lam.real, lam.imag], "algebraic": alg}
-                for lam, alg in self.clusters
-            ],
+            "clusters": Records({
+                "eigenvalue": np.array([lam for lam, _ in self.clusters], dtype=complex),
+                "algebraic": np.array([alg for _, alg in self.clusters], dtype=int),
+            }),
             "worst_gap": self.worst_gap if math.isfinite(self.worst_gap) else None,
         }
 
@@ -128,18 +128,16 @@ class SolutionSet:
     diagnostics: dict
 
     def to_json(self, tol_real=1e-10):
+        Z = np.array(self.roots)  # solve finds at least one root
         return {
             "verdict": self.verdict.to_json(),
             "strategy": self.strategy,
-            "roots": [
-                {
-                    "z": z,
-                    "residual": r,
-                    "real": bool(np.max(np.abs(z.imag)) <= tol_real),
-                    "flagged": flag,
-                }
-                for z, r, flag in zip(self.roots, self.residuals, self.flagged)
-            ],
+            "roots": Records({
+                "z": Z,
+                "residual": np.array(self.residuals, dtype=float),
+                "real": np.max(np.abs(Z.imag), axis=1) <= tol_real,
+                "flagged": np.array(self.flagged, dtype=bool),
+            }),
             "distinct_count": self.distinct_count,
             "diagnostics": self.diagnostics,
         }

@@ -157,34 +157,50 @@ def _as_complex(value, path):
     return z
 
 
-def _coefficient_row(row, path) -> np.ndarray:
-    """The complex values of one coefficient row (entries as _as_complex reads them).
+def _complex_rows(rows, row_path, width) -> np.ndarray:
+    """The (len(rows), width) complex array of rows of `width` entries each,
+    every entry read as _as_complex reads it.
 
-    A row of bare numbers, or of [re, im] pairs, converts as one float array,
-    whose columns are assigned to .real and .imag so that signed zeros
-    survive.  Any other row, or one with a value that is not a finite float,
-    goes entry by entry through _as_complex, which names the failing entry.
+    When every entry is an int or a float, or a [re, im] pair of them (rows
+    may mix the two), the whole block converts with one float-array call;
+    the types are checked before it and finiteness after it, before any
+    complex value is formed.  The real and imaginary columns are assigned
+    separately, so signed zeros survive.  Otherwise the entries go one by
+    one through _as_complex, which names the first failing one as
+    row_path.format(row) + [column].
     """
-    pairs = set(map(type, row)) == {list} and set(map(len, row)) == {2}
-    parts = itertools.chain.from_iterable(row) if pairs else row
-    if set(map(type, parts)) <= {int, float}:  # type, not isinstance: no bools
-        try:
-            values = np.array(row, dtype=float).reshape(len(row), -1)
-        except OverflowError:  # an integer beyond the float range
-            values = None
-        if values is not None and np.isfinite(values).all():
-            out = np.zeros(len(row), dtype=complex)
-            out.real = values[:, 0]
-            out.imag = values[:, -1] if pairs else 0.0
-            return out
-    return np.array([_as_complex(c, f"{path}[{j}]") for j, c in enumerate(row)], dtype=complex)
+    flat = list(itertools.chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    if not kinds <= {int, float}:  # type, not isinstance: no bools
+        if kinds != {list}:  # bare numbers among the pairs
+            flat = [c if type(c) is list else [c, 0] for c in flat]
+        parts = itertools.chain.from_iterable(flat)
+        if set(map(len, flat)) != {2} or not set(map(type, parts)) <= {int, float}:
+            flat = None
+    try:
+        values = None if flat is None else np.array(flat, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        values = None
+    if values is None or not np.isfinite(values).all():
+        values = [
+            [_as_complex(c, f"{row_path.format(r)}[{j}]") for j, c in enumerate(row)]
+            for r, row in enumerate(rows)
+        ]
+        return np.array(values, dtype=complex).reshape(len(rows), width)
+    out = np.zeros(len(values), dtype=complex)
+    if values.ndim == 2:
+        out.real, out.imag = values.T
+    else:
+        out.real = values
+    return out.reshape(len(rows), width)
 
 
 def system_from_json(obj) -> BorderSystem:
     """Build a BorderSystem from its parsed JSON object.
 
     An optional "basis" must list I's members in canonical order, the order
-    every coefficient row follows.
+    every coefficient row follows.  Every relation is checked before the
+    coefficient block is read, with one array call (`_complex_rows`).
     """
     if not isinstance(obj, dict):
         raise SchemaError("system must be a JSON object")
@@ -197,8 +213,7 @@ def system_from_json(obj) -> BorderSystem:
     relations = obj.get("relations")
     if not isinstance(relations, list):
         raise SchemaError("missing or non-array field", "relations")
-    coeffs = np.zeros((len(J), len(I)), dtype=complex)
-    seen = set()
+    rows, positions, seen = [], [], set()
     for k, rel in enumerate(relations):
         path = f"relations[{k}]"
         if not isinstance(rel, dict) or "alpha" not in rel or "coeffs" not in rel:
@@ -221,7 +236,10 @@ def system_from_json(obj) -> BorderSystem:
             raise SchemaError(
                 f"coefficient row has length {got}, expected {len(I)}", f"{path}.coeffs"
             )
-        coeffs[J.position[alpha]] = _coefficient_row(row, f"{path}.coeffs")
+        rows.append(row)
+        positions.append(J.position[alpha])
+    coeffs = np.zeros((len(J), len(I)), dtype=complex)
+    coeffs[positions] = _complex_rows(rows, "relations[{}].coeffs", len(I))
     missing = [a for a in J.members if a not in seen]
     if missing:
         first = [list(a) for a in missing[:3]]  # the whole list can run to megabytes
@@ -253,12 +271,35 @@ class RowGather:
     index: np.ndarray = field(repr=False)
 
 
+@dataclass(frozen=True, eq=False)
+class Records:
+    """A list of dicts with the same keys, held as one array per key.
+
+    columns maps each key, in output order, to an array whose first axis
+    runs over the records; there is at least one key, and every column has
+    the same length.  Record k is {key: column[k]}, a Python scalar for a
+    1-D column and an array otherwise.  Iterating gives those dicts;
+    `dumps` writes the list without forming them.
+    """
+
+    columns: dict[str, np.ndarray]
+
+    def __len__(self):
+        return len(next(iter(self.columns.values())))
+
+    def __iter__(self):
+        for k in range(len(self)):
+            yield {key: col[k] if col.ndim > 1 else col[k].item()
+                   for key, col in self.columns.items()}
+
+
 def dumps(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, with numpy arrays as JSON arrays.
 
     A complex array is written as nested [re, im] pairs and a real one as
     numbers, that is as json would write the array's list form; a RowGather
-    is written as the array it stands for.  Dict keys must be strings.
+    is written as the array it stands for and a Records as its list of
+    dicts.  Dict keys must be strings.
     """
     return _encode(obj, 0)
 
@@ -280,9 +321,11 @@ def _encode(obj, level):
             return float.__repr__(obj)
         return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
     if isinstance(obj, np.ndarray):
-        return _encode_array(obj, level)
+        return _item_texts(obj[np.newaxis], level)[0]
     if isinstance(obj, RowGather):
         return _encode_gather(obj, level)
+    if isinstance(obj, Records):
+        return _encode_records(obj, level)
     if isinstance(obj, (list, tuple)):
         items = [_encode(x, level + 1) for x in obj]
         brackets = "[]"
@@ -297,34 +340,50 @@ def _encode(obj, level):
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + _INDENT * level + brackets[1]
 
 
-def _encode_array(a: np.ndarray, level):
-    """An array as _encode would write a.tolist() (complex entries as [re, im] lists).
+# the text of each scalar a numpy array of that kind holds, as _encode writes it
+_SCALAR_TEXT = {"f": float.__repr__, "i": int.__repr__,
+                "b": {True: "true", False: "false"}.__getitem__}
 
-    A finite, non-empty float array is formatted from its flat list of
-    float reprs (`_nest`).  Other arrays go through the scalar path, which
-    keeps json's spelling of NaN and Infinity.
+
+def _item_texts(a: np.ndarray, depth) -> list[str]:
+    """The texts of the items of a along its first axis, each as _encode
+    writes its list form at depth (complex entries as [re, im] lists).
+
+    Float, int and bool items with no empty axis are formatted from one
+    flat list of scalar texts (`_nest`), when every float is finite.  Other
+    items go through _encode, which keeps json's spelling of NaN and
+    Infinity.
     """
     a = _as_pairs(a)
-    if a.dtype.kind != "f" or a.size == 0 or not np.isfinite(a).all():
-        return _encode(a.tolist(), level)
-    return next(_nest(map(float.__repr__, a.ravel().tolist()), a.shape, level))
+    text = _SCALAR_TEXT.get(a.dtype.kind)
+    if text is None or 0 in a.shape[1:] or (a.dtype.kind == "f" and not np.isfinite(a).all()):
+        return [_encode(x, depth) for x in a.tolist()]
+    return list(_nest(map(text, a.ravel().tolist()), a.shape[1:], depth))
 
 
 def _encode_gather(g: RowGather, level):
-    """g.rows[g.index] as _encode_array would write it, without forming it.
+    """g.rows[g.index] as _encode would write that array, without forming it.
 
     Each row of g.rows is formatted once, at the depth where a row of the
     gathered array sits, and the row texts are joined through g.index.
-    Rows that _encode_array would not format from reprs, or an empty
-    result, go through _encode_array itself.
     """
-    rows = _as_pairs(g.rows)
-    empty = g.index.size * math.prod(rows.shape[1:]) == 0
-    if rows.dtype.kind != "f" or empty or not np.isfinite(rows).all():
-        return _encode_array(g.rows[g.index], level)
-    depth = level + g.index.ndim
-    texts = list(_nest(map(float.__repr__, rows.ravel().tolist()), rows.shape[1:], depth))
+    if 0 in g.index.shape:
+        return _encode(g.rows[g.index], level)
+    texts = _item_texts(g.rows, level + g.index.ndim)
     return next(_nest(map(texts.__getitem__, g.index.ravel().tolist()), g.index.shape, level))
+
+
+def _encode_records(r: Records, level):
+    """The list of r's dicts as _encode would write it, without forming them:
+    one template per record, holding the keys, filled from the item texts
+    of every column."""
+    if not len(r):
+        return "[]"
+    inner = "\n" + _INDENT * (level + 2)
+    keys = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in r.columns]
+    template = "{" + inner + ("," + inner).join(keys) + "\n" + _INDENT * (level + 1) + "}"
+    texts = zip(*[_item_texts(col, level + 2) for col in r.columns.values()])
+    return next(_nest(map(template.__mod__, texts), (len(r),), level))
 
 
 def _as_pairs(a: np.ndarray) -> np.ndarray:
@@ -355,18 +414,13 @@ def parse_system(text) -> BorderSystem:
 
 
 def system_to_json(sys: BorderSystem) -> dict:
-    """JSON object for a system; each coefficient row is a complex array, which
-    `dumps` writes as [re, im] pairs."""
+    """JSON object for a system, for `dumps`: the basis as I's exponent
+    array, and the relations as Records of J's exponents and the complex
+    coefficient rows, written as [re, im] pairs."""
     return {
         "index_set": sys.I.to_json(),
-        "basis": [list(b) for b in sys.I.members],
-        "relations": [
-            {
-                "alpha": list(alpha),
-                "coeffs": sys.coeffs[r],
-            }
-            for r, alpha in enumerate(sys.J.members)
-        ],
+        "basis": sys.I.exponents,
+        "relations": Records({"alpha": sys.J.exponents, "coeffs": sys.coeffs}),
     }
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from border_eig import Config, serialize_system
+from border_eig import cli
 from border_eig.cli import _config_from_args, build_parser, main
 
 
@@ -485,8 +486,11 @@ class TestConfig:
         (["--seed", "-1"], {}, "--seed"),
         ([], {"BORDER_EIG_SEED": "-5"}, "BORDER_EIG_SEED"),
         (["--seed", "1.5"], {}, "--seed"),
+        # a variable that names no Config field: a removed knob, a misspelt one
+        ([], {"BORDER_EIG_TOL_DEDUP": "nan"}, "BORDER_EIG_TOL_DEDUP"),
+        ([], {"BORDER_EIG_TOL_COMUTE": "-1"}, "BORDER_EIG_TOL_COMUTE"),
     ], ids=["flag-nan", "env-nan", "from-points-nan", "from-points-inf", "flag-negative-int",
-            "env-negative-int", "flag-float-for-int"])
+            "env-negative-int", "flag-float-for-int", "env-removed", "env-misspelt"])
     def test_bad_knob_exits_two(self, capsys, tmp_path, x2_is_1_file, monkeypatch, flags, env, source):
         for var, value in env.items():
             monkeypatch.setenv(var, value)
@@ -528,6 +532,35 @@ class TestConfig:
             with pytest.raises(SystemExit) as exc:
                 main(["solve", x2_is_1_file, flag, "1"])
             assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """main parses every call with one parser per process, and no call leaves
+    state in it for the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_text_then_default_prints_json(self, capsys, x2_is_1_file):
+        code, out, _ = run_cli(capsys, "solve", x2_is_1_file, "--format", "text")
+        assert code == 0 and out.startswith("strategy: ")
+        code, out, _ = run_cli(capsys, "solve", x2_is_1_file)
+        assert code == 0 and json.loads(out)["distinct_count"] == 2
+
+    def test_unknown_flag_then_valid_call(self, capsys, x2_is_1_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", x2_is_1_file, "--no-such-flag"])
+        assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "check", x2_is_1_file)
+        assert code == 0 and json.loads(out)["verdict"]["maximal"] is True
+
+    def test_flag_value_not_kept(self, capsys, x2_is_1_file):
+        # a negative tolerance makes every family non-commuting
+        code, _, _ = run_cli(capsys, "check", x2_is_1_file, "--tol-commute", "-1")
+        assert code == 1
+        code, _, _ = run_cli(capsys, "check", x2_is_1_file)
+        assert code == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,10 +20,13 @@ from border_eig import (
     system_from_nodes,
     total_degree_set,
 )
+from border_eig.cli import _roots_from_json
+from border_eig.interp import parse_nodes
 from border_eig.system import (
+    Records,
     RowGather,
     _as_complex,
-    _coefficient_row,
+    _complex_rows,
     dumps,
     relation_jacobian,
     relation_values,
@@ -236,6 +239,8 @@ class TestSerialization:
 
 def plain(obj):
     """obj with every array in its list form, complex entries as [re, im] lists."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "c":
             obj = np.stack([obj.real, obj.imag], axis=-1)
@@ -278,6 +283,27 @@ def _gathers(draw):
     return RowGather(rows, index)
 
 
+@st.composite
+def _records(draw):
+    """Records of zero to four records, with float, int, bool or complex
+    columns of any trailing shape (empty axes too), finite or not."""
+    count = draw(st.integers(0, 4))
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    columns = {}
+    for key in keys:
+        dtype, elements = draw(st.sampled_from([
+            (np.float64, st.floats(allow_nan=False, allow_infinity=False)),
+            (np.float64, st.floats()),
+            (np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+            (np.complex128, st.complex_numbers(allow_nan=True, allow_infinity=True)),
+            (np.int64, st.integers(-(2**63), 2**63 - 1)),
+            (np.bool_, st.booleans()),
+        ]))
+        trailing = draw(array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+        columns[key] = draw(arrays(dtype, (count, *trailing), elements=elements))
+    return Records(columns)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _float_arrays,
     lambda children: st.lists(children, max_size=4)
@@ -310,6 +336,30 @@ class TestJsonWriter:
         dense = np.asarray(g.rows[g.index])
         assert dumps({"A": g, "l": [g]}) == json.dumps(plain({"A": dense, "l": [dense]}), indent=2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(r=_records())
+    @example(r=Records({"z": np.array([[1 - 0.0j, complex(-0.0, 2)], [np.nan, 1e300j]]),
+                        "residual": np.array([1e-17, np.inf]), "real": np.array([True, False]),
+                        "flagged": np.array([False, True])}))
+    @example(r=Records({"alpha": np.array([[2, 0], [1, 1]]), "coeffs": np.ones((2, 3), complex)}))
+    @example(r=Records({"%s": np.array([1.5]), "%": np.array([-0.0]), "%%d": np.array([7])}))
+    @example(r=Records({"eigenvalue": np.zeros(0, complex), "algebraic": np.zeros(0, int)}))
+    def test_records_match_stdlib(self, r):
+        # as a list of the dicts that iterating gives, alone and nested
+        assert dumps(r) == json.dumps(plain(list(r)), indent=2)
+        assert dumps({"l": [r, {"r": r}]}) == json.dumps(
+            plain({"l": [list(r), {"r": list(r)}]}), indent=2)
+
+    def test_records_iterate_as_dicts(self):
+        z = np.array([[1 + 2j, 3.0], [0.5j, -1.0]])
+        r = Records({"z": z, "residual": np.array([0.25, 1e-9]), "real": np.array([True, False]),
+                     "count": np.array([3, 4])})
+        first, second = list(r)
+        assert len(r) == 2 and list(first) == ["z", "residual", "real", "count"]
+        assert np.array_equal(first["z"], z[0]) and np.array_equal(second["z"], z[1])
+        assert (first["residual"], first["real"], first["count"]) == (0.25, True, 3)
+        assert all(type(v) in (float, bool, int) for k, v in second.items() if k != "z")
+
     def test_refuses_what_json_refuses(self):
         with pytest.raises(TypeError):
             dumps({1: 2})
@@ -319,18 +369,75 @@ class TestJsonWriter:
 
 _numbers = st.integers(-(2**80), 2**80) | st.floats(allow_nan=False, allow_infinity=False)
 _pairs = st.tuples(_numbers, _numbers).map(list)
+# entries _as_complex refuses: bools, ints beyond the float range,
+# non-finite floats, text, lists that are not pairs, pairs with such a part
+_bad = st.one_of(
+    st.booleans(),
+    st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024)),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.text(max_size=2) | st.none(),
+    st.lists(_numbers, max_size=3).filter(lambda x: len(x) != 2),
+    st.tuples(_numbers, st.booleans() | st.sampled_from([float("nan"), 2**1100])).map(list),
+)
+
+
+@st.composite
+def _blocks(draw):
+    """Rows of one width, of bare numbers, [re, im] pairs or both; in half of
+    the draws some entries are ones _as_complex refuses."""
+    width = draw(st.integers(1, 4))
+    entry = _numbers | _pairs | (_bad if draw(st.booleans()) else st.nothing())
+    return draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=4))
+
+
+def entry_by_entry(rows, row_path):
+    """Each entry of rows through _as_complex: the (len(rows), width) array,
+    or the SchemaError that names the first failing entry."""
+    try:
+        return np.array([[_as_complex(c, f"{row_path.format(r)}[{j}]") for j, c in enumerate(row)]
+                         for r, row in enumerate(rows)], dtype=complex)
+    except SchemaError as exc:
+        return exc
+
+
+# each block reader: its row path and how it reads a block
+_RELATIONS_2 = [[2, 0], [1, 1], [0, 2]]  # the border of {1, x, y}, canonical order
+_READERS = {
+    "block": ("rows[{}]", lambda rows: _complex_rows(rows, "rows[{}]", len(rows[0]))),
+    "points": ("points[{}]", lambda rows: parse_nodes(
+        json.dumps({"n": len(rows[0]), "points": rows}))),
+    "solve roots": ("roots[{}].z", lambda rows: _roots_from_json(
+        json.loads(json.dumps({"roots": [{"z": row} for row in rows]})), len(rows[0]))),
+    "coefficients": ("relations[{}].coeffs", lambda rows: parse_system(json.dumps({
+        "index_set": {"type": "total_degree", "n": 2, "m": 1},
+        "relations": [{"alpha": a, "coeffs": row} for a, row in zip(_RELATIONS_2, rows)]})).coeffs),
+}
 
 
 class TestCoefficientRow:
+    """Every block reader gives what _as_complex gives entry by entry."""
+
     @settings(max_examples=200, deadline=None)
-    @given(row=st.lists(_numbers, min_size=1) | st.lists(_pairs, min_size=1)
-           | st.lists(_numbers | _pairs, min_size=1))
-    @example(row=[-0.0, 0, 5e-324, 2**70 + 1])
-    @example(row=[[-0.0, -0.0], [0, -0.0], [-5e-324, 2**70 + 1]])
-    def test_equals_entry_by_entry(self, row):
-        entry_by_entry = np.array([_as_complex(c, "p") for c in row], dtype=complex)
-        # equal bytes: the same values, signs of zero included
-        assert _coefficient_row(row, "p").tobytes() == entry_by_entry.tobytes()
+    @given(rows=_blocks())
+    @example(rows=[[-0.0, 0, 5e-324, 2**70 + 1]])
+    @example(rows=[[[-0.0, -0.0], [0, -0.0], [-5e-324, 2**70 + 1]]])
+    @example(rows=[[[1.0, -0.0], -0.0, 2], [[0, -0.0], 2**70 + 1, [3, 0.5]]])
+    @example(rows=[[[1, 0], 2], [True, 0.5]])
+    @example(rows=[[1, 2**1100], [float("nan"), "x"]])
+    @example(rows=[[0.5, 1], [[1, 2], [2, 3]], [3, 4]])
+    def test_equals_entry_by_entry(self, rows):
+        for name, (row_path, read) in _READERS.items():
+            if not rows or (name == "coefficients" and (len(rows), len(rows[0])) != (3, 3)):
+                continue
+            expected = entry_by_entry(rows, row_path)
+            if isinstance(expected, SchemaError):
+                with pytest.raises(SchemaError) as info:
+                    read(rows)
+                assert (info.value.path, str(info.value)) == (expected.path, str(expected)), name
+            else:
+                # equal bytes: the same values, signs of zero included
+                got = read(rows)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
 
     @pytest.mark.parametrize("row, bad", [
         ([0.5, True], 1),
@@ -343,6 +450,11 @@ class TestCoefficientRow:
         ([[1, 0], [1]], 1),
         ([[1, 0], 2, [0, True]], 2),
         ([[1, 0], 2, "x"], 2),
+        ([-0.0, [1, -0.0], 2**1100], 2),
+        ([[1, -0.0], float("nan")], 1),
+        ([0.5, None], 1),
+        ([0.5, {"re": 1}], 1),
+        ([[0.5, 1], [1, [2]]], 1),
     ])
     def test_rejected_entry_named(self, row, bad):
         text = json.dumps({"index_set": {"type": "total_degree", "n": 1, "m": len(row) - 1},
