@@ -7,7 +7,6 @@ from .errors import (
     SchemaError,
     SizeLimitError,
     UnisolvenceError,
-    UnknownRelationError,
 )
 from .indexsets import (
     BorderSet,
@@ -16,7 +15,7 @@ from .indexsets import (
     total_degree_set,
     validate_lower_set,
 )
-from .interp import interpolate, poisedness, system_from_nodes, vandermonde
+from .interp import system_from_nodes
 from .matrices import build_family, commutation_report
 from .spectral import Config, SolutionSet, criterion, eigen, solve
 from .system import (
@@ -39,21 +38,17 @@ __all__ = [
     "SizeLimitError",
     "SolutionSet",
     "UnisolvenceError",
-    "UnknownRelationError",
     "border",
     "build_family",
     "commutation_report",
     "criterion",
     "eigen",
-    "interpolate",
     "monomial_eval",
     "parse_system",
-    "poisedness",
     "residual",
     "serialize_system",
     "solve",
     "system_from_nodes",
     "total_degree_set",
     "validate_lower_set",
-    "vandermonde",
 ]

@@ -21,10 +21,6 @@ class SchemaError(BorderEigError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class UnknownRelationError(BorderEigError):
-    """A border index was requested that is not a relation of the system."""
-
-
 class UnisolvenceError(BorderEigError):
     """A node set is not poised for interpolation over the given lower set."""
 

@@ -25,7 +25,10 @@ MultiIndex = tuple[int, ...]
 # a time, never held together -- plus an upper bound on the border's exponent
 # rows (at most n * #I members of length n).  The largest arrays held, the
 # normal forms [Id; coeffs] and [V; coeffs @ V], have (#I + #J) * #I entries,
-# at most (n + 1) * #I^2.
+# at most (n + 1) * #I^2.  Refinement holds the stack's monomial values at
+# the #I roots, (#I + #J) * #I entries again, and one root's relation
+# Jacobian at a time: its n * (#I + #J) gradient entries, within
+# n * #I * (1 + n), and the #J * n result.
 ADMISSION_BUDGET = 2**22
 
 
@@ -106,8 +109,47 @@ class LowerSet(_IndexedSet):
         }
 
 
+@dataclass
 class BorderSet(_IndexedSet):
-    """The indices one step outside a lower set, in canonical order."""
+    """The indices one step outside a lower set, in canonical order.
+
+    The lower set's members followed by the border's are the monomial stack
+    of a border system, the row order of its normal forms [Id; coeffs].
+    The tables below index that stack and are built on first use.
+    """
+
+    lower: LowerSet = field(repr=False, compare=False)
+
+    def _stack_rows(self) -> dict[MultiIndex, int]:
+        size = len(self.lower)
+        return {**self.lower.position, **{a: size + r for a, r in self.position.items()}}
+
+    @functools.cached_property
+    def stack(self) -> np.ndarray:
+        """The stack's exponents, I then J, as a read-only (#I + #J, n) array."""
+        E = np.concatenate([self.lower.exponents, self.exponents])
+        E.flags.writeable = False
+        return E
+
+    @functools.cached_property
+    def up(self) -> np.ndarray:
+        """(n, #I): up[i, r] is the stack row of beta_r + e_i for beta_r in I."""
+        row = self._stack_rows()
+        return np.array([[row[add_unit(b, i)] for b in self.lower] for i in range(self.dimension)],
+                        dtype=np.intp)
+
+    @functools.cached_property
+    def down(self) -> np.ndarray:
+        """(n, #I + #J): down[j, s] is the stack row of alpha_s - e_j, or 0 (the
+        monomial 1) where alpha_s[j] = 0.
+
+        alpha - e_j is in the stack whenever alpha_j > 0: in I for alpha in I,
+        as I is downward closed; for alpha = beta + e_i in J it is beta (j = i)
+        or (beta - e_j) + e_i, which is in I or in J.
+        """
+        row, stack = self._stack_rows(), self.lower.members + self.members
+        return np.array([[row[sub_unit(a, j)] if a[j] else 0 for a in stack]
+                         for j in range(self.dimension)], dtype=np.intp)
 
 
 def _admit(n: int, count: int, exact: bool = True) -> None:
@@ -194,7 +236,7 @@ def border(I: LowerSet) -> BorderSet:
             if alpha not in I:
                 found.add(alpha)
     members = sorted(found, key=grlex_key)
-    return BorderSet(I.dimension, members, {a: k for k, a in enumerate(members)})
+    return BorderSet(I.dimension, members, {a: k for k, a in enumerate(members)}, I)
 
 
 def index_set_from_json(obj) -> LowerSet:

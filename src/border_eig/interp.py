@@ -38,25 +38,12 @@ class PoisednessReport:
         }
 
 
-def _check_nodes(I: LowerSet, nodes) -> np.ndarray:
-    """Validate the node list and stack it as a (#I, n) complex array."""
-    nodes = [np.asarray(z, dtype=complex) for z in nodes]
-    if len(nodes) != len(I):
-        raise ValueError(f"{len(nodes)} nodes for a basis of size {len(I)}")
-    for z in nodes:
-        if z.shape != (I.dimension,):
-            raise ValueError(f"node of shape {z.shape}, expected ({I.dimension},)")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("non-finite node coordinate")
-    return np.array(nodes).reshape(len(I), I.dimension)
-
-
-def vandermonde(I: LowerSet, nodes) -> np.ndarray:
-    """Node-by-monomial evaluation matrix, columns in canonical order of I."""
-    return monomial_eval(I.exponents, _check_nodes(I, nodes))
-
-
 def _sigma_test(V: np.ndarray, tol: float) -> PoisednessReport:
+    """Singular-value test of the Vandermonde matrix V.
+
+    Poised iff sigma_min > tol * sigma_max; the relative cut separates true
+    rank deficiency from mere ill-conditioning.
+    """
     s = np.linalg.svd(V, compute_uv=False)
     smax, smin = float(s[0]), float(s[-1])
     poised = smin > tol * smax
@@ -64,45 +51,28 @@ def _sigma_test(V: np.ndarray, tol: float) -> PoisednessReport:
     return PoisednessReport(smin, smax, float(cond), poised, tol)
 
 
-def poisedness(I: LowerSet, nodes, tol: float = 1e-10) -> PoisednessReport:
-    """Singular-value test of the Vandermonde matrix.
-
-    Poised iff sigma_min > tol * sigma_max; the relative cut separates true
-    rank deficiency from mere ill-conditioning.
-    """
-    return _sigma_test(vandermonde(I, nodes), tol)
-
-
-def _factor_poised(I: LowerSet, nodes, tol: float):
-    """LU factors of the Vandermonde matrix and the poisedness report of that same matrix."""
-    V = vandermonde(I, nodes)
-    report = _sigma_test(V, tol)
-    if not report.poised:
-        raise UnisolvenceError("node set is not poised for this lower set", report)
-    return scipy.linalg.lu_factor(V), report
-
-
-def interpolate(I: LowerSet, nodes, values, tol: float = 1e-10) -> np.ndarray:
-    """Coefficients c over I with sum_beta c_beta node_s^beta = values[s].
-
-    Raises UnisolvenceError (carrying the poisedness report) when the node
-    set is not poised.
-    """
-    lu, _ = _factor_poised(I, nodes, tol)
-    return scipy.linalg.lu_solve(lu, np.asarray(values, dtype=complex))
-
-
 def system_from_nodes(I: LowerSet, nodes, tol: float = 1e-10) -> BorderSystem:
     """The border system whose relations all vanish on the given poised nodes.
 
-    Each border monomial is interpolated over I at the nodes; one LU
-    factorization of the Vandermonde matrix serves all right-hand sides.
-    The returned system carries the poisedness report of that matrix.
+    nodes is a (#I, n) array, or #I points of length n, all finite.  One
+    monomial_eval of the stack (BorderSet.stack) at the nodes gives the
+    Vandermonde matrix V, its first #I columns, and every border monomial's
+    values, which are interpolated over I with one LU factorization of V.
+    Raises UnisolvenceError, carrying the poisedness report of V, when the
+    nodes are not poised; a system built carries that report too.
     """
-    nodes = _check_nodes(I, nodes)
-    lu, report = _factor_poised(I, nodes, tol)
+    Z = np.asarray(nodes, dtype=complex)
+    if Z.shape != (len(I), I.dimension):
+        raise ValueError(f"nodes of shape {Z.shape}, expected ({len(I)}, {I.dimension})")
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("non-finite node coordinate")
     J = border(I)
-    coeffs = scipy.linalg.lu_solve(lu, monomial_eval(J.exponents, nodes)).T  # rows per border index
+    values = monomial_eval(J.stack, Z)
+    V = values[:, :len(I)]
+    report = _sigma_test(V, tol)
+    if not report.poised:
+        raise UnisolvenceError("node set is not poised for this lower set", report)
+    coeffs = scipy.linalg.lu_solve(scipy.linalg.lu_factor(V), values[:, len(I):]).T
     return BorderSystem(I, J, coeffs, poisedness=report)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indexsets import add_unit
 from .system import BorderSystem
 
 
@@ -71,21 +70,17 @@ class CommutationReport:
 def build_family(sys: BorderSystem, dtype=None) -> MultMatrixFamily:
     """The normal forms [Id; coeffs] and the shift table of all n multiplication matrices.
 
-    shifts[i, r] indexes beta_r + e_i in I followed by J; a J that is not
-    the border of I raises KeyError.  By default the normal forms are
+    The shift table is the border's `up` table: shifts[i, r] indexes
+    beta_r + e_i in I followed by J.  By default the normal forms are
     float64 when every coefficient is real (no imaginary part is nonzero),
     else complex; dtype=complex keeps the coefficients as they are, signed
     zeros too.
     """
-    I, J = sys.I, sys.J
-    size = len(I)
     if dtype is None:
         dtype = complex if np.any(sys.coeffs.imag) else float
     coeffs = sys.coeffs if np.dtype(dtype).kind == "c" else sys.coeffs.real
-    row = {**I.position, **{alpha: size + r for alpha, r in J.position.items()}}
-    shifts = np.array([[row[add_unit(beta, i)] for beta in I] for i in range(sys.dimension)])
-    normal_forms = np.concatenate([np.eye(size, dtype=coeffs.dtype), coeffs])
-    return MultMatrixFamily(normal_forms, shifts)
+    normal_forms = np.concatenate([np.eye(len(sys.I), dtype=coeffs.dtype), coeffs])
+    return MultMatrixFamily(normal_forms, sys.J.up)
 
 
 def commutation_report(fam: MultMatrixFamily, tol: float) -> CommutationReport:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import EigenConvergenceError
 from .matrices import CommutationReport, MultMatrixFamily, build_family, commutation_report
-from .system import BorderSystem, Records, relation_jacobian, relation_values, residual
+from .system import BorderSystem, Records, _residual, relation_jacobian, relation_values, residual
 
 EPS = np.finfo(float).eps
 # per-coordinate reports: coordinates within TOL_CLUSTER * (1 + ||A_i||_F)
@@ -45,6 +45,8 @@ EPS = np.finfo(float).eps
 TOL_CLUSTER = 1e-7
 # roots within TOL_DEDUP * (1 + max |z|) of each other count as one (see _dedup)
 TOL_DEDUP = 1e-6
+# solve reports a root as real when no coordinate's imaginary part exceeds TOL_REAL
+TOL_REAL = 1e-10
 # eigen fails when an eigenpair residual exceeds TOL_EIG * (1 + ||A||_F)
 TOL_EIG = 1e-8
 
@@ -127,7 +129,7 @@ class SolutionSet:
     strategy: str
     diagnostics: dict
 
-    def to_json(self, tol_real=1e-10):
+    def to_json(self):
         Z = np.array(self.roots)  # solve finds at least one root
         return {
             "verdict": self.verdict.to_json(),
@@ -135,7 +137,7 @@ class SolutionSet:
             "roots": Records({
                 "z": Z,
                 "residual": np.array(self.residuals, dtype=float),
-                "real": np.max(np.abs(Z.imag), axis=1) <= tol_real,
+                "real": np.max(np.abs(Z.imag), axis=1) <= TOL_REAL,
                 "flagged": np.array(self.flagged, dtype=bool),
             }),
             "distinct_count": self.distinct_count,
@@ -288,15 +290,18 @@ def _gauss_newton(sys: BorderSystem, Z: np.ndarray) -> tuple[np.ndarray, np.ndar
     """One Gauss-Newton step for every root (the rows of Z) together: the
     stepped roots and their residuals.
 
-    Each root solves one least-squares problem against the batched relation
-    Jacobian.  A root keeps its step only when the step is finite and does
-    not raise its residual; a root whose residual is exactly 0 takes no step.
+    The monomial stack is evaluated once at Z and once at the candidates.
+    Each root solves one least-squares problem against its relation
+    Jacobian, gathered from its stack values; one Jacobian is held at a
+    time.  A root keeps its step only when the step is finite and does not
+    raise its residual; a root whose residual is exactly 0 takes no step.
     """
-    res = residual(sys, Z)
+    values, rel = relation_values(sys, Z)
+    res = _residual(sys, values, rel)
     live = np.flatnonzero(res > 0.0)
     at = Z[live]
-    steps = [np.linalg.lstsq(J, -v, rcond=None)[0]
-             for J, v in zip(relation_jacobian(sys, at), relation_values(sys, at))]
+    steps = [np.linalg.lstsq(relation_jacobian(sys, values[k]), -rel[k], rcond=None)[0]
+             for k in live]
     cand = at + np.reshape(steps, at.shape)
     finite = np.all(np.isfinite(cand), axis=1)
     cand_res = np.full(live.size, np.inf)

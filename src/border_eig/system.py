@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import SchemaError, UnknownRelationError
+from .errors import SchemaError
 from .indexsets import BorderSet, LowerSet, _as_int, border, index_set_from_json
 
 if TYPE_CHECKING:
@@ -31,10 +31,11 @@ _INDENT = "  "  # the writer's indent=2
 class BorderSystem:
     """Coefficients of the border relations over a lower set.
 
-    coeffs[r] is the length-#I coefficient row of the relation indexed by
-    J.members[r], entries following the canonical order of I.  A system
-    synthesized from nodes carries the poisedness report of its Vandermonde
-    matrix.
+    J is border(I).  coeffs[r] is the length-#I coefficient row of the
+    relation indexed by J.members[r], entries following the canonical
+    order of I, so [Id; coeffs] holds the normal forms of the monomial
+    stack J.stack, I followed by J.  A system synthesized from nodes
+    carries the poisedness report of its Vandermonde matrix.
     """
 
     I: LowerSet
@@ -43,6 +44,8 @@ class BorderSystem:
     poisedness: PoisednessReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.J.lower != self.I:
+            raise ValueError("J is not the border of I")
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (len(self.J), len(self.I)):
             raise ValueError(
@@ -55,12 +58,6 @@ class BorderSystem:
     @property
     def dimension(self):
         return self.I.dimension
-
-    def relation_row(self, alpha) -> np.ndarray:
-        alpha = tuple(alpha)
-        if alpha not in self.J:
-            raise UnknownRelationError(f"{alpha} is not a border index of this system")
-        return self.coeffs[self.J.position[alpha]]
 
 
 def monomial_eval(beta, z):
@@ -96,40 +93,28 @@ def monomial_eval(beta, z):
     return complex(out) if out.ndim == 0 else out
 
 
-def basis_values(I: LowerSet, z) -> np.ndarray:
-    """Evaluation vector (z^beta for beta in I), canonical order; (p, #I) for (p, n) points."""
-    return monomial_eval(I.exponents, z)
+def relation_values(sys: BorderSystem, z):
+    """The monomial stack (BorderSet.stack) and the relations at z: the
+    values z^alpha over I followed by J, and P_alpha(z) over J.
 
-
-def _basis_and_relations(sys: BorderSystem, z):
-    v = basis_values(sys.I, z)
-    return v, monomial_eval(sys.J.exponents, z) - v @ sys.coeffs.T
-
-
-def relation_values(sys: BorderSystem, z) -> np.ndarray:
-    """All P_alpha(z), alpha over the border in canonical order; (p, #J) for (p, n) points."""
-    return _basis_and_relations(sys, z)[1]
-
-
-def relation_jacobian(sys: BorderSystem, z) -> np.ndarray:
-    """dP_alpha/dz_j: (#J, n) at one point, (p, #J, n) for (p, n) points.
-
-    Uses d z^alpha / d z_j = alpha_j z^(alpha - e_j), evaluated by the
-    monomial kernel on the shifted exponents.
+    (#I + #J,) and (#J,) at one point, (p, #I + #J) and (p, #J) at (p, n)
+    points, from one monomial_eval call.
     """
-    Z = np.atleast_2d(np.asarray(z, dtype=complex))
-    jac = _monomial_gradients(sys.J.exponents, Z) - sys.coeffs @ _monomial_gradients(
-        sys.I.exponents, Z
-    )
-    return jac if np.ndim(z) == 2 else jac[0]
+    values = monomial_eval(sys.J.stack, z)
+    size = len(sys.I)
+    return values, values[..., size:] - values[..., :size] @ sys.coeffs.T
 
 
-def _monomial_gradients(E: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """(p, k, n) array of d z^E[r] / d z_j at the points Z (p, n)."""
-    k, n = E.shape
-    shifted = np.maximum(E[None, :, :] - np.eye(n, dtype=E.dtype)[:, None, :], 0)
-    values = monomial_eval(shifted.reshape(n * k, n), Z).reshape(len(Z), n, k)
-    return (values * E.T).transpose(0, 2, 1)
+def relation_jacobian(sys: BorderSystem, values: np.ndarray) -> np.ndarray:
+    """dP_alpha/dz_j, (#J, n), at one point with stack values `values`
+    (relation_values).
+
+    d z^alpha / d z_j = alpha_j z^(alpha - e_j) is a gather of the values
+    through BorderSet.down; row 0 (the monomial 1) stands where alpha_j = 0.
+    """
+    g = values[sys.J.down] * sys.J.stack.T  # (n, #I + #J) gradients
+    size = len(sys.I)
+    return g[:, size:].T - sys.coeffs @ g[:, :size].T
 
 
 def residual(sys: BorderSystem, z):
@@ -138,8 +123,13 @@ def residual(sys: BorderSystem, z):
     The scaling keeps the measure meaningful for roots of large magnitude.
     A float for one point; an array of p residuals for (p, n) points.
     """
-    v, rel = _basis_and_relations(sys, z)
-    out = np.max(np.abs(rel), axis=-1) / np.maximum(1.0, np.max(np.abs(v), axis=-1))
+    return _residual(sys, *relation_values(sys, z))
+
+
+def _residual(sys: BorderSystem, values, relations):
+    """residual from relation_values' output."""
+    basis = values[..., :len(sys.I)]
+    out = np.max(np.abs(relations), axis=-1) / np.maximum(1.0, np.max(np.abs(basis), axis=-1))
     return float(out) if out.ndim == 0 else out
 
 

@@ -131,7 +131,7 @@ def test_criterion_5_unit_square_lower_set():
         return out
 
     for alpha, mono in [((2, 0), (1, 0)), ((0, 2), (0, 1)), ((2, 1), (1, 1)), ((1, 2), (1, 1))]:
-        ok = ok and np.allclose(sys_.relation_row(alpha), unit_row(mono), atol=1e-10)
+        ok = ok and np.allclose(sys_.coeffs[sys_.J.position[alpha]], unit_row(mono), atol=1e-10)
     sol = solve(sys_)
     ok = ok and sol.verdict.maximal and matching_error(sol.roots, nodes) <= 1e-6
     report(5, ok, "border and relations match x^2=x, y^2=y, x^2y=xy, xy^2=xy")

@@ -242,31 +242,6 @@ class TestFromPoints:
         rows = {tuple(r["alpha"]): r["coeffs"] for r in obj["relations"]}
         assert np.allclose(rows[(2, 0)], [[0, 0], [1, 0], [0, 0]], atol=1e-12)
 
-    def test_builds_vandermonde_once(self, capsys, tmp_path, monkeypatch):
-        from border_eig import interp
-
-        calls = []
-        original = interp.vandermonde
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(interp, "vandermonde", counting)
-        pts = tmp_path / "pts.json"
-        pts.write_text('{"n": 2, "points": [[0, 0], [1, 0], [0, 1]]}')
-        code, out, _ = run_cli(
-            capsys,
-            "from-points",
-            "--index-set",
-            '{"type": "total_degree", "n": 2, "m": 1}',
-            "--points",
-            str(pts),
-        )
-        assert code == 0
-        assert len(calls) == 1
-        assert json.loads(out)["poisedness"]["condition"] > 1.0
-
     def test_collinear_exits_one(self, capsys, tmp_path):
         pts = tmp_path / "pts.json"
         pts.write_text('{"n": 2, "points": [[0, 0], [1, 1], [2, 2]]}')
@@ -357,6 +332,37 @@ def test_admission(capsys, tmp_path, index_set, error, message):
     assert len(err) < 16_000
     obj = json.loads(err)
     assert obj["error"] == error and obj["message"].startswith(message)
+
+
+@pytest.mark.parametrize("command, calls", [("from-points", 1), ("verify", 1), ("solve", 2)])
+def test_monomial_eval_calls(capsys, tmp_path, monkeypatch, command, calls):
+    # from-points and verify evaluate the monomial stack once; solve once at
+    # its candidate roots and once at the stepped ones, Jacobians included
+    import border_eig
+    from border_eig import system
+
+    pts = tmp_path / "pts.json"
+    pts.write_text('{"n": 2, "points": [[0.3, 0.1], [1.2, -0.4], [-0.7, 0.9], [0.5, 1.5]]}')
+    index_set = '{"type": "explicit", "n": 2, "indices": [[0, 0], [1, 0], [0, 1], [1, 1]]}'
+    _, out, _ = run_cli(capsys, "from-points", "--index-set", index_set, "--points", str(pts))
+    sys_file = tmp_path / "sys.json"
+    sys_file.write_text(out)
+    argv = {"from-points": ["--index-set", index_set, "--points", str(pts)],
+            "verify": [str(sys_file), str(pts)], "solve": [str(sys_file)]}[command]
+    counted, original = [], system.monomial_eval
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return original(*args, **kwargs)
+
+    bound = [mod for mod in (border_eig, *vars(border_eig).values())
+             if getattr(mod, "monomial_eval", None) is original]
+    assert len(bound) >= 3  # the package, system and interp
+    for mod in bound:
+        monkeypatch.setattr(mod, "monomial_eval", counting)
+    code, out, _ = run_cli(capsys, command, *argv)
+    assert code == 0
+    assert len(counted) == calls
 
 
 class TestVerify:

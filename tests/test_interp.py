@@ -5,14 +5,13 @@ import pytest
 
 from border_eig import (
     UnisolvenceError,
-    interpolate,
-    poisedness,
+    border,
+    monomial_eval,
     residual,
     solve,
     system_from_nodes,
     total_degree_set,
     validate_lower_set,
-    vandermonde,
 )
 from border_eig.interp import parse_nodes
 
@@ -21,6 +20,15 @@ from conftest import matching_error, random_separated_nodes
 
 def corner_nodes():
     return [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+
+
+def vandermonde(I, nodes):
+    """The first #I columns of the monomial stack at the nodes."""
+    return monomial_eval(border(I).stack, np.array(nodes))[:, :len(I)]
+
+
+def relation_row(s, alpha):
+    return s.coeffs[s.J.position[alpha]]
 
 
 class TestVandermonde:
@@ -38,59 +46,40 @@ class TestVandermonde:
         assert np.array_equal(V[0], V[1])
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            vandermonde(total_degree_set(2, 1), corner_nodes()[:2])
+        with pytest.raises(ValueError, match="nodes of shape"):
+            system_from_nodes(total_degree_set(2, 1), corner_nodes()[:2])
+        with pytest.raises(ValueError, match="non-finite"):
+            system_from_nodes(total_degree_set(2, 1), [*corner_nodes()[:2], np.array([0, np.inf])])
 
 
 class TestPoisedness:
     def test_corner_nodes_poised(self):
-        rep = poisedness(total_degree_set(2, 1), corner_nodes())
+        rep = system_from_nodes(total_degree_set(2, 1), corner_nodes()).poisedness
         assert rep.poised
         assert rep.condition < 10
 
     def test_collinear_not_poised(self):
         nodes = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
-        rep = poisedness(total_degree_set(2, 1), nodes)
+        with pytest.raises(UnisolvenceError) as exc:
+            system_from_nodes(total_degree_set(2, 1), nodes)
+        rep = exc.value.report
         assert not rep.poised
         assert rep.smallest_singular_value <= 1e-10 * rep.largest_singular_value
 
     def test_grid_on_unit_square(self):
         I = validate_lower_set(list(product((0, 1), repeat=2)), 2)
         nodes = [np.array(p, dtype=float) for p in product((0.0, 1.0), repeat=2)]
-        rep = poisedness(I, nodes)
+        rep = system_from_nodes(I, nodes).poisedness
         assert rep.poised
 
 
 class TestInterpolate:
-    def test_constant(self):
-        I = total_degree_set(2, 1)
-        c = interpolate(I, corner_nodes(), np.ones(3))
-        assert np.allclose(c, [1, 0, 0], atol=1e-14)
-
-    def test_picks_out_x(self):
-        I = total_degree_set(2, 1)
-        c = interpolate(I, corner_nodes(), np.array([0.0, 1.0, 0.0]))
-        assert np.allclose(c, [0, 1, 0], atol=1e-14)
-
-    def test_lagrange_fundamentals(self):
-        rng = np.random.default_rng(2)
-        I = total_degree_set(2, 2)
-        nodes = random_separated_nodes(rng, 2, len(I), sep=0.2)
-        V = vandermonde(I, nodes)
-        total = np.zeros(len(I), dtype=complex)
-        for s in range(len(I)):
-            unit = np.zeros(len(I))
-            unit[s] = 1.0
-            c = interpolate(I, nodes, unit)
-            assert np.allclose(V @ c, unit, atol=1e-9)
-            total += c
-        # partition of unity: fundamentals sum to the constant 1
-        assert np.allclose(total, np.eye(len(I))[0], atol=1e-9)
+    """Interpolation of the border monomials at the nodes, done by system_from_nodes."""
 
     def test_unpoised_raises(self):
         nodes = [np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([2.0, 2.0])]
         with pytest.raises(UnisolvenceError) as exc:
-            interpolate(total_degree_set(2, 1), nodes, np.ones(3))
+            system_from_nodes(total_degree_set(2, 1), nodes)
         assert exc.value.report is not None
 
 
@@ -103,13 +92,13 @@ class TestSystemFromNodes:
             (0, 2): [0, 0, 1],  # y^2 = y
         }
         for alpha, row in expected.items():
-            assert np.allclose(s.relation_row(alpha), row, atol=1e-12)
+            assert np.allclose(relation_row(s, alpha), row, atol=1e-12)
 
     def test_pm_one_nodes(self):
         s = system_from_nodes(
             total_degree_set(1, 1), [np.array([-1.0]), np.array([1.0])]
         )
-        assert np.allclose(s.relation_row((2,)), [1, 0], atol=1e-14)  # x^2 = 1
+        assert np.allclose(relation_row(s, (2,)), [1, 0], atol=1e-14)  # x^2 = 1
 
     def test_unit_square_grid(self):
         I = validate_lower_set(list(product((0, 1), repeat=2)), 2)
@@ -123,10 +112,10 @@ class TestSystemFromNodes:
             out[basis[mono]] = 1.0
             return out
 
-        assert np.allclose(s.relation_row((2, 0)), row_of((1, 0)), atol=1e-12)
-        assert np.allclose(s.relation_row((0, 2)), row_of((0, 1)), atol=1e-12)
-        assert np.allclose(s.relation_row((2, 1)), row_of((1, 1)), atol=1e-12)
-        assert np.allclose(s.relation_row((1, 2)), row_of((1, 1)), atol=1e-12)
+        assert np.allclose(relation_row(s, (2, 0)), row_of((1, 0)), atol=1e-12)
+        assert np.allclose(relation_row(s, (0, 2)), row_of((0, 1)), atol=1e-12)
+        assert np.allclose(relation_row(s, (2, 1)), row_of((1, 1)), atol=1e-12)
+        assert np.allclose(relation_row(s, (1, 2)), row_of((1, 1)), atol=1e-12)
 
     def test_nodes_are_roots(self):
         rng = np.random.default_rng(13)
@@ -146,7 +135,10 @@ class TestSystemFromNodes:
         I = total_degree_set(2, 2)
         nodes = random_separated_nodes(rng, 2, len(I), sep=0.1)
         s = system_from_nodes(I, nodes, tol=1e-9)
-        assert s.poisedness == poisedness(I, nodes, tol=1e-9)
+        sv = np.linalg.svd(vandermonde(I, nodes), compute_uv=False)
+        rep = s.poisedness
+        assert (rep.smallest_singular_value, rep.largest_singular_value) == (sv[-1], sv[0])
+        assert rep.condition == sv[0] / sv[-1] and rep.poised
         assert s.poisedness.tolerance_used == 1e-9
         assert "poisedness" not in repr(s)
 

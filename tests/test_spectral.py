@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,7 @@ from border_eig import (
 
 from border_eig import spectral
 from border_eig.errors import EigenConvergenceError
+from border_eig.indexsets import ADMISSION_BUDGET
 from border_eig.spectral import TOL_DEDUP, _components, _dedup, _gap_ratios, _gauss_newton
 from conftest import matching_error, random_separated_nodes
 
@@ -529,6 +531,22 @@ class TestSolve:
         assert out[2, 0] == 1.0
         # the residuals are those of the returned rows, taken or not
         assert np.array_equal(res, residual(s, out)) and res[2] == 0.0
+
+    def test_refinement_memory_within_admission(self):
+        # n=60, m=1 is admitted (#I 61, #J 1830); the (p, #J, n) Jacobian stack
+        # of all roots would take 107 MB, one root's Jacobian 1.8 MB
+        rng = np.random.default_rng(47)
+        nodes = np.exp(2j * np.pi * rng.uniform(size=(61, 60)))
+        s = system_from_nodes(total_degree_set(60, 1), nodes)
+        Z = nodes * np.exp(1e-6j * rng.normal(size=nodes.shape))
+        tracemalloc.start()
+        try:
+            _, res = _gauss_newton(s, Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * ADMISSION_BUDGET
+        assert res.max() < 1e-3 * residual(s, Z).min()  # every root took its step
 
     @pytest.mark.parametrize("make", [lambda: unit_modulus_system(2, 3, 3),
                                       lambda: gaussian_system(3, 4, 0), triple_root_system],

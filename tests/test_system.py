@@ -11,7 +11,6 @@ from border_eig import (
     BorderSystem,
     SchemaError,
     SizeLimitError,
-    UnknownRelationError,
     border,
     monomial_eval,
     parse_system,
@@ -79,40 +78,84 @@ class TestMonomialEval:
             monomial_eval((1, 2, 3), np.array([1.0, 2.0]))
 
 
+def relations(s, z):
+    return relation_values(s, z)[1]
+
+
 def test_relation_jacobian_matches_central_differences():
     rng = np.random.default_rng(11)
     I = random_lower_set(3, 10, rng)
     nodes = list(np.exp(2j * np.pi * rng.uniform(size=(len(I), 3))))
     s = system_from_nodes(I, nodes)
     Z = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-    jac = relation_jacobian(s, Z)
+    values, _ = relation_values(s, Z)
+    assert values.shape == (4, len(s.I) + len(s.J))
+    jac = np.array([relation_jacobian(s, v) for v in values])
     assert jac.shape == (4, len(s.J), 3)
     h = 1e-6
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        fd = (relation_values(s, Z + e) - relation_values(s, Z - e)) / (2 * h)
+        fd = (relations(s, Z + e) - relations(s, Z - e)) / (2 * h)
         assert np.allclose(jac[:, :, j], fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
-    assert np.allclose(relation_jacobian(s, Z[1]), jac[1], rtol=1e-14, atol=0)
+    # one point's stack values are those of its row in a batch
+    assert np.array_equal(relation_values(s, Z[1])[0], values[1])
+
+
+def shifted_gradients(E, z):
+    """(k, n): d z^E[r] / d z_j = E[r, j] z^(E[r] - e_j), each column from
+    monomial_eval on the shifted exponents."""
+    n = E.shape[1]
+    out = np.empty(E.shape, dtype=complex)
+    for j in range(n):
+        out[:, j] = monomial_eval(np.maximum(E - np.eye(n, dtype=E.dtype)[j], 0), z) * E[:, j]
+    return out
+
+
+def test_gathered_jacobian_equals_shifted_exponents():
+    # the gather through BorderSet.down gives the shifted-exponent Jacobian
+    # value for value (signed zeros aside, where alpha_j = 0)
+    rng = np.random.default_rng(17)
+    j_to_j = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        I = random_lower_set(n, int(rng.integers(0, 20)), rng)
+        J = border(I)
+        shape = (len(J), len(I))
+        s = BorderSystem(I, J, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        Z = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        Z[0, 0] = 0.0
+        values, _ = relation_values(s, Z)
+        for z, v in zip(Z, values):
+            expected = shifted_gradients(J.exponents, z) - s.coeffs @ shifted_gradients(I.exponents, z)
+            assert np.array_equal(relation_jacobian(s, v), expected)
+        # alpha in J with alpha - e_j in J: a down table over I alone misses it
+        j_to_j += np.any(J.down[:, len(I):] >= len(I))
+    assert j_to_j > 0
 
 
 class TestEvalRelation:
     def test_root(self):
         s = univariate([1.0, 0.0])  # x^2 = 1
-        assert relation_values(s, np.array([1.0])) == pytest.approx([0])
+        assert relations(s, np.array([1.0])) == pytest.approx([0])
 
     def test_nonroot(self):
         s = univariate([1.0, 0.0])
-        assert relation_values(s, np.array([2.0])) == pytest.approx([3])
+        assert relations(s, np.array([2.0])) == pytest.approx([3])
 
     def test_idempotent_relation(self, idempotent_system):
-        values = relation_values(idempotent_system, np.array([1.0, 0.0]))
+        values = relations(idempotent_system, np.array([1.0, 0.0]))
         assert abs(values[idempotent_system.J.members.index((2, 0))]) < 1e-12
 
-    def test_unknown_relation(self):
-        s = univariate([1.0, 0.0])
-        with pytest.raises(UnknownRelationError):
-            s.relation_row((3,))
+    def test_stack_values(self, idempotent_system):
+        # I = 1, x, y followed by J = x^2, xy, y^2
+        values, _ = relation_values(idempotent_system, np.array([2.0, 3.0]))
+        assert np.array_equal(values, [1, 2, 3, 4, 6, 9])
+
+    def test_border_of_another_set_refused(self):
+        I = total_degree_set(1, 1)
+        with pytest.raises(ValueError, match="not the border"):
+            BorderSystem(I, border(total_degree_set(1, 2)), np.zeros((1, 2)))
 
 
 class TestResidual:
@@ -143,7 +186,7 @@ def test_univariate_horner_cross_check():
         row = rng.normal(size=m + 1)
         s = univariate(list(row))
         for z in rng.normal(size=4):
-            (direct,) = relation_values(s, np.array([z]))
+            (direct,) = relations(s, np.array([z]))
             # Horner oracle for z^{m+1} - sum a_j z^j, leading coefficient 1
             acc = 1.0
             for c in (-row[j] for j in range(m, -1, -1)):
