@@ -26,7 +26,7 @@ from .indexsets import index_set_from_json
 from .interp import _point_rows, nodes_from_json, parse_nodes, system_from_nodes
 from .matrices import build_family
 from .spectral import Config, criterion, solve
-from .system import Records, RowGather, _load_json, dumps, parse_system, residual, system_to_json
+from .system import Records, RowGather, _load_json, dump, parse_system, residual, system_to_json
 
 _ENV_PREFIX = "BORDER_EIG_"
 
@@ -78,9 +78,11 @@ def _config_from_args(args) -> Config:
 
 
 def _emit(obj, fmt, lines):
-    """JSON object on stdout, or the prepared text lines in text mode."""
+    """JSON object on stdout, written a chunk at a time, or the prepared text
+    lines in text mode."""
     if fmt == "json":
-        print(dumps(obj))
+        dump(obj, _sys.stdout)
+        print()
     else:
         for line in lines:
             print(line)

@@ -145,11 +145,18 @@ class BorderSet(_IndexedSet):
 
         alpha - e_j is in the stack whenever alpha_j > 0: in I for alpha in I,
         as I is downward closed; for alpha = beta + e_i in J it is beta (j = i)
-        or (beta - e_j) + e_i, which is in I or in J.
+        or (beta - e_j) + e_i, which is in I or in J.  Every entry whose
+        alpha - e_j is some beta in I is read off `up` (down[j, up[j, r]] = r);
+        only the J -> J entries are looked up.
         """
-        row, stack = self._stack_rows(), self.lower.members + self.members
-        return np.array([[row[sub_unit(a, j)] if a[j] else 0 for a in stack]
-                         for j in range(self.dimension)], dtype=np.intp)
+        size = len(self.lower)
+        down = np.full((self.dimension, size + len(self)), -1, dtype=np.intp)
+        for j, row in enumerate(self.up):
+            down[j, row] = np.arange(size)
+        for j, s in zip(*np.nonzero((down < 0) & (self.stack.T > 0))):
+            down[j, s] = size + self.position[sub_unit(self.members[s - size], j)]
+        down[down < 0] = 0
+        return down
 
 
 def _admit(n: int, count: int, exact: bool = True) -> None:

@@ -19,7 +19,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SchemaError
-from .indexsets import BorderSet, LowerSet, _as_int, border, index_set_from_json
+from .indexsets import (
+    ADMISSION_BUDGET,
+    BorderSet,
+    LowerSet,
+    _as_int,
+    border,
+    index_set_from_json,
+)
 
 if TYPE_CHECKING:
     from .interp import PoisednessReport
@@ -152,45 +159,57 @@ def _complex_rows(rows, row_path, width) -> np.ndarray:
     every entry read as _as_complex reads it.
 
     When every entry is an int or a float, or a [re, im] pair of them (rows
-    may mix the two), the whole block converts with one float-array call;
-    the types are checked before it and finiteness after it, before any
-    complex value is formed.  The real and imaginary columns are assigned
-    separately, so signed zeros survive.  Otherwise the entries go one by
-    one through _as_complex, which names the first failing one as
-    row_path.format(row) + [column].
+    may mix the two), the numbers, flattened, convert with one np.fromiter
+    call; the types are checked before it and finiteness after it, before
+    any complex value is formed.  The [re, im] pairs are viewed as complex
+    numbers and bare reals take a +0.0 imaginary part, so signed zeros
+    survive.  Otherwise the entries go one by one through _as_complex,
+    which names the first failing one as row_path.format(row) + [column].
     """
     flat = list(itertools.chain.from_iterable(rows))
     kinds = set(map(type, flat))
-    if not kinds <= {int, float}:  # type, not isinstance: no bools
+    pairs = not kinds <= {int, float}  # type, not isinstance: no bools
+    if pairs:
         if kinds != {list}:  # bare numbers among the pairs
             flat = [c if type(c) is list else [c, 0] for c in flat]
         parts = itertools.chain.from_iterable(flat)
         if set(map(len, flat)) != {2} or not set(map(type, parts)) <= {int, float}:
             flat = None
-    try:
-        values = None if flat is None else np.array(flat, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        values = None
+    values = None
+    if flat is not None:
+        numbers = itertools.chain.from_iterable(flat) if pairs else flat
+        try:
+            values = np.fromiter(numbers, dtype=float, count=len(flat) * (1 + pairs))
+        except OverflowError:  # an integer beyond the float range
+            pass
     if values is None or not np.isfinite(values).all():
         values = [
             [_as_complex(c, f"{row_path.format(r)}[{j}]") for j, c in enumerate(row)]
             for r, row in enumerate(rows)
         ]
         return np.array(values, dtype=complex).reshape(len(rows), width)
-    out = np.zeros(len(values), dtype=complex)
-    if values.ndim == 2:
-        out.real, out.imag = values.T
-    else:
-        out.real = values
+    out = values.view(complex) if pairs else values.astype(complex)
     return out.reshape(len(rows), width)
+
+
+def _plain_alphas(relations) -> bool:
+    """True when every relation is an object whose "alpha" is an array of
+    ints >= 0: one type pass and one sign pass over all the entries."""
+    alphas = [rel.get("alpha") if type(rel) is dict else None for rel in relations]
+    if not set(map(type, alphas)) <= {list}:
+        return False
+    entries = list(itertools.chain.from_iterable(alphas))
+    return set(map(type, entries)) <= {int} and min(entries, default=0) >= 0
 
 
 def system_from_json(obj) -> BorderSystem:
     """Build a BorderSystem from its parsed JSON object.
 
     An optional "basis" must list I's members in canonical order, the order
-    every coefficient row follows.  Every relation is checked before the
-    coefficient block is read, with one array call (`_complex_rows`).
+    every coefficient row follows.  The exponents of all relations are
+    checked in one pass (`_plain_alphas`), and every relation is checked
+    before the coefficient block is read, with one array call
+    (`_complex_rows`).
     """
     if not isinstance(obj, dict):
         raise SchemaError("system must be a JSON object")
@@ -203,6 +222,7 @@ def system_from_json(obj) -> BorderSystem:
     relations = obj.get("relations")
     if not isinstance(relations, list):
         raise SchemaError("missing or non-array field", "relations")
+    plain = _plain_alphas(relations)  # else each entry is checked, to name a failing one
     rows, positions, seen = [], [], set()
     for k, rel in enumerate(relations):
         path = f"relations[{k}]"
@@ -210,7 +230,8 @@ def system_from_json(obj) -> BorderSystem:
             raise SchemaError("each relation needs 'alpha' and 'coeffs'", path)
         if not isinstance(rel["alpha"], list):
             raise SchemaError(f"expected an array, got {rel['alpha']!r}", f"{path}.alpha")
-        alpha = tuple(_as_int(a, f"{path}.alpha[{j}]") for j, a in enumerate(rel["alpha"]))
+        alpha = tuple(rel["alpha"] if plain else
+                      (_as_int(a, f"{path}.alpha[{j}]") for j, a in enumerate(rel["alpha"])))
         if alpha in I:
             raise SchemaError(f"alpha {list(alpha)} inside I", f"{path}.alpha")
         if alpha not in J:
@@ -254,7 +275,8 @@ class RowGather:
     """The array rows[index], for `dumps` to write without forming it.
 
     rows has at least one axis and index holds integers; each row of rows
-    is formatted once however often index names it.
+    is formatted once however often index names it, and its text is held
+    only until its last use.
     """
 
     rows: np.ndarray = field(repr=False)
@@ -291,111 +313,197 @@ def dumps(obj) -> str:
     is written as the array it stands for and a Records as its list of
     dicts.  Dict keys must be strings.
     """
-    return _encode(obj, 0)
+    return "".join(_chunks(obj, 0))
 
 
-def _encode(obj, level):
-    """The text of obj whose opening line is indented level steps (json's order of checks)."""
+def dump(obj, fp):
+    """Write dumps(obj) to the text stream fp a chunk at a time.
+
+    Arrays are formatted and written in blocks of about _BLOCK numbers;
+    beyond one block, the writer holds as text only the rows of a RowGather
+    that it has still to write again.
+    """
+    for chunk in _chunks(obj, 0):
+        fp.write(chunk)
+
+
+# The writer formats and writes arrays in blocks of about this many numbers
+# (an [re, im] pair counts once), so the text it holds at once is a small
+# fraction of the largest output admission allows, n * #I^2 <= ADMISSION_BUDGET
+# numbers, while a block is still large enough that its per-block work is
+# negligible.
+_BLOCK = ADMISSION_BUDGET // 256
+
+
+def _chunks(obj, level):
+    """The text of obj whose opening line is indented level steps, as a
+    sequence of strings (json's order of checks)."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
+        yield encode_basestring_ascii(obj)
+    elif obj is None:
+        yield "null"
+    elif obj is True:
+        yield "true"
+    elif obj is False:
+        yield "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, float):
         if math.isfinite(obj):
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
-    if isinstance(obj, np.ndarray):
-        return _item_texts(obj[np.newaxis], level)[0]
-    if isinstance(obj, RowGather):
-        return _encode_gather(obj, level)
-    if isinstance(obj, Records):
-        return _encode_records(obj, level)
-    if isinstance(obj, (list, tuple)):
-        items = [_encode(x, level + 1) for x in obj]
-        brackets = "[]"
-    elif isinstance(obj, dict):  # a key that is not a str raises TypeError
-        items = [f"{encode_basestring_ascii(k)}: {_encode(v, level + 1)}" for k, v in obj.items()]
-        brackets = "{}"
+            yield float.__repr__(obj)
+        else:
+            yield "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim:
+            yield from _gather_chunks(obj, np.arange(len(obj)), level)
+        else:
+            yield from _item_texts(obj[np.newaxis], level)
+    elif isinstance(obj, RowGather):
+        yield from _gather_chunks(obj.rows, obj.index, level)
+    elif isinstance(obj, Records):
+        yield from _records_chunks(obj, level)
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            yield "{}" if isinstance(obj, dict) else "[]"
+            return
+        inner = "\n" + _INDENT * (level + 1)
+        if isinstance(obj, dict):  # a key that is not a str raises TypeError
+            yield "{"
+            for k, (key, value) in enumerate(obj.items()):
+                yield ("," if k else "") + inner + encode_basestring_ascii(key) + ": "
+                yield from _chunks(value, level + 1)
+            yield "\n" + _INDENT * level + "}"
+        else:
+            yield "["
+            for k, value in enumerate(obj):
+                yield ("," if k else "") + inner
+                yield from _chunks(value, level + 1)
+            yield "\n" + _INDENT * level + "]"
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    inner = "\n" + _INDENT * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + _INDENT * level + brackets[1]
 
 
-# the text of each scalar a numpy array of that kind holds, as _encode writes it
-_SCALAR_TEXT = {"f": float.__repr__, "i": int.__repr__,
-                "b": {True: "true", False: "false"}.__getitem__}
+def _separators(shape, level) -> list[str]:
+    """The text around the N = prod(shape) numbers of an array of shape
+    `shape` whose opening line is indented level steps: N + 1 strings, the
+    k-th written before number k and the last after the last number.
+
+    Before number k > 0 the c innermost axes close and reopen, where c
+    counts the axes j >= 1 with prod(shape[j:]) dividing k; so every
+    separator is one of len(shape) texts, indexed by c.
+    """
+    ndim = len(shape)
+    opens = ["[\n" + _INDENT * (level + j + 1) for j in range(ndim)]
+    closes = ["\n" + _INDENT * (level + j) + "]" for j in range(ndim)]
+    between = np.array(["".join(closes[ndim - c:][::-1]) + ",\n" + _INDENT * (level + ndim - c)
+                        + "".join(opens[ndim - c:]) for c in range(ndim)], dtype=object)
+    k = np.arange(1, math.prod(shape))
+    wraps = np.zeros(len(k), dtype=np.intp)
+    for j in range(1, ndim):
+        wraps += k % math.prod(shape[j:]) == 0
+    return ["".join(opens), *between[wraps].tolist(), "".join(closes[::-1])]
+
+
+def _joined(separators, texts) -> list[str]:
+    """One string per row of texts (B, N): separators[0] + texts[r, 0] +
+    separators[1] + ... + texts[r, N - 1], then separators[N] if there are
+    N + 1 separators."""
+    parts = np.empty((len(texts), len(separators) + texts.shape[1]), dtype=object)
+    parts[:, ::2] = separators
+    parts[:, 1::2] = texts
+    return list(map("".join, parts.tolist()))
 
 
 def _item_texts(a: np.ndarray, depth) -> list[str]:
-    """The texts of the items of a along its first axis, each as _encode
-    writes its list form at depth (complex entries as [re, im] lists).
+    """The texts of the items of a along its first axis, each as json writes
+    its list form at depth (complex entries as [re, im] lists).
 
-    Float, int and bool items with no empty axis are formatted from one
-    flat list of scalar texts (`_nest`), when every float is finite.  Other
-    items go through _encode, which keeps json's spelling of NaN and
-    Infinity.
+    Float, int and bool items with no empty axis, every float finite, are
+    woven from the separators of the item shape and the texts of the
+    numbers (`_number_texts`), one join per item.  Other items go through
+    _chunks, which keeps json's spelling of NaN and Infinity.
     """
     a = _as_pairs(a)
-    text = _SCALAR_TEXT.get(a.dtype.kind)
-    if text is None or 0 in a.shape[1:] or (a.dtype.kind == "f" and not np.isfinite(a).all()):
-        return [_encode(x, depth) for x in a.tolist()]
-    return list(_nest(map(text, a.ravel().tolist()), a.shape[1:], depth))
+    if not len(a):
+        return []
+    if (a.dtype.kind not in "fib" or 0 in a.shape[1:]
+            or (a.dtype.kind == "f" and not np.isfinite(a).all())):
+        return ["".join(_chunks(x, depth)) for x in a.tolist()]
+    return _joined(_separators(a.shape[1:], depth), _number_texts(a).reshape(len(a), -1))
 
 
-def _encode_gather(g: RowGather, level):
-    """g.rows[g.index] as _encode would write that array, without forming it.
+def _number_texts(a: np.ndarray) -> np.ndarray:
+    """The json texts of the finite float, int or bool numbers of a, as a
+    flat object array in C order.  Float zeros take "0.0" or "-0.0" by their
+    sign bit; only the nonzero floats are formatted, with float.__repr__."""
+    flat = a.ravel()
+    out = np.empty(flat.size, dtype=object)
+    if a.dtype.kind == "f":
+        out[...] = "0.0"
+        out[np.signbit(flat)] = "-0.0"
+        nonzero = np.flatnonzero(flat)
+        out[nonzero] = list(map(float.__repr__, flat[nonzero].tolist()))
+    elif a.dtype.kind == "b":
+        out[...] = "false"
+        out[flat] = "true"
+    else:
+        out[...] = list(map(int.__repr__, flat.tolist()))
+    return out
 
-    Each row of g.rows is formatted once, at the depth where a row of the
-    gathered array sits, and the row texts are joined through g.index.
+
+def _gather_chunks(rows: np.ndarray, index: np.ndarray, level):
+    """rows[index] as _chunks would write that array, without forming it:
+    one chunk per block of about _BLOCK numbers, then the closing brackets.
+
+    Each row of rows is formatted when a block first needs it, at the depth
+    where a row of the gathered array sits, and its text is dropped after
+    its last use; the row texts are woven with the separators of
+    index.shape.
     """
-    if 0 in g.index.shape:
-        return _encode(g.rows[g.index], level)
-    texts = _item_texts(g.rows, level + g.index.ndim)
-    return next(_nest(map(texts.__getitem__, g.index.ravel().tolist()), g.index.shape, level))
+    if 0 in index.shape:
+        yield from _chunks(_as_pairs(rows[index]).tolist(), level)
+        return
+    flat = index.ravel() % len(rows)  # negative indices count from the end
+    separators = _separators(index.shape, level)
+    uses = np.bincount(flat, minlength=len(rows))
+    texts = np.empty(len(rows), dtype=object)
+    formatted = np.zeros(len(rows), dtype=bool)
+    step = max(1, _BLOCK // max(1, rows[0].size))
+    for start in range(0, len(flat), step):
+        block = flat[start:start + step]
+        new = np.unique(block[~formatted[block]])
+        texts[new] = _item_texts(rows[new], level + index.ndim)
+        formatted[new] = True
+        yield _joined(separators[start:start + len(block)], texts[block][np.newaxis])[0]
+        uses -= np.bincount(block, minlength=len(rows))
+        texts[uses == 0] = None
+    yield separators[-1]
 
 
-def _encode_records(r: Records, level):
-    """The list of r's dicts as _encode would write it, without forming them:
-    one template per record, holding the keys, filled from the item texts
-    of every column."""
+def _records_chunks(r: Records, level):
+    """The list of r's dicts as _chunks would write it, without forming
+    them: one chunk per block of about _BLOCK numbers, each record woven
+    from the keys and the item texts of every column."""
     if not len(r):
-        return "[]"
+        yield "[]"
+        return
     inner = "\n" + _INDENT * (level + 2)
-    keys = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in r.columns]
-    template = "{" + inner + ("," + inner).join(keys) + "\n" + _INDENT * (level + 1) + "}"
-    texts = zip(*[_item_texts(col, level + 2) for col in r.columns.values()])
-    return next(_nest(map(template.__mod__, texts), (len(r),), level))
+    keys = [encode_basestring_ascii(k) + ": " for k in r.columns]
+    fields = ["{" + inner + keys[0], *["," + inner + key for key in keys[1:]],
+              "\n" + _INDENT * (level + 1) + "}"]
+    separators = _separators((len(r),), level)
+    width = sum(math.prod(col.shape[1:]) for col in r.columns.values())
+    step = max(1, _BLOCK // max(1, width))
+    for start in range(0, len(r), step):
+        columns = [_item_texts(col[start:start + step], level + 2) for col in r.columns.values()]
+        texts = np.array(_joined(fields, np.array(columns, dtype=object).T), dtype=object)
+        yield _joined(separators[start:start + len(texts)], texts[np.newaxis])[0]
+    yield separators[-1]
 
 
 def _as_pairs(a: np.ndarray) -> np.ndarray:
     """A complex array as a float array with a trailing [re, im] axis; others as they are."""
     return np.stack([a.real, a.imag], axis=-1) if a.dtype.kind == "c" else a
-
-
-def _nest(texts, shape, level):
-    """Join the texts of the items of arrays of shape `shape`, in C order, into
-    one text per array whose opening line is indented level steps.
-
-    One axis at a time from the innermost: each group of shape[axis]
-    consecutive texts fills a template with that axis's brackets, commas
-    and indents.  The texts must already sit at depth level + len(shape).
-    """
-    for axis in reversed(range(len(shape))):
-        depth = level + axis
-        inner = "\n" + _INDENT * (depth + 1)
-        k = shape[axis]
-        template = "[" + inner + ("," + inner).join(["%s"] * k) + "\n" + _INDENT * depth + "]"
-        texts = map(template.__mod__, zip(*[iter(texts)] * k))
-    return texts
 
 
 def parse_system(text) -> BorderSystem:

@@ -1,13 +1,15 @@
+import contextlib
 import io
 import json
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from border_eig import Config, serialize_system
+from border_eig import Config, serialize_system, system_from_nodes, total_degree_set
 from border_eig import cli
 from border_eig.cli import _config_from_args, build_parser, main
 
@@ -422,6 +424,33 @@ class TestMatrices:
         assert obj["basis"] == [[0, 0], [1, 0], [0, 1]]
         A1 = np.array(obj["A"][0])[:, :, 0]
         assert np.allclose(A1, [[0, 1, 0], [0, 1, 0], [0, 0, 0]])
+
+    def test_output_streamed_within_its_size(self, tmp_path):
+        # unit nodes at n = 2, m = 30 (#I 496): about 25.6 MB of output,
+        # written a block of rows at a time, so the traced peak of the whole
+        # command stays below the size of what it writes
+        I = total_degree_set(2, 30)
+        rng = np.random.default_rng(5)
+        nodes = np.exp(2j * np.pi * rng.uniform(size=(len(I), 2)))
+        path = tmp_path / "unit.json"
+        path.write_bytes(serialize_system(system_from_nodes(I, nodes)))
+
+        class Count:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        out = Count()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main(["matrices", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.size > 25 * 10**6
+        assert peak <= out.size
 
 
 class TestRealSystem:

@@ -157,3 +157,17 @@ def test_index_set_json_round_trip():
     assert index_set_from_json(I.to_json()) == I
     sq = validate_lower_set(list(product((0, 1), repeat=2)), 2)
     assert index_set_from_json(sq.to_json()) == sq
+
+
+def test_down_table_equals_lookup_per_entry():
+    # down is read off up except for its J -> J entries; each entry is the
+    # stack row of alpha - e_j, as one lookup per entry finds it
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        I = random_lower_set(n, int(rng.integers(0, 25)), rng)
+        J = border(I)
+        row = {a: s for s, a in enumerate(I.members + J.members)}
+        expected = [[row[sub_unit(a, j)] if a[j] else 0 for a in I.members + J.members]
+                    for j in range(n)]
+        assert J.down.tolist() == expected

@@ -1,5 +1,7 @@
+import io
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from border_eig import (
     total_degree_set,
 )
 from border_eig.cli import _roots_from_json
+from border_eig import system
 from border_eig.interp import parse_nodes
 from border_eig.system import (
     Records,
     RowGather,
     _as_complex,
     _complex_rows,
+    dump,
     dumps,
     relation_jacobian,
     relation_values,
@@ -295,29 +299,40 @@ def plain(obj):
     return obj
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_zero_heavy = st.sampled_from([0.0, -0.0]) | _finite  # signed zeros in about half the entries
+# (dtype, elements): finite arrays take the formatting fast path, any NaN or
+# inf the scalar path
+_ELEMENTS = [
+    (np.float64, _finite),
+    (np.float64, _zero_heavy),
+    (np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+    (np.complex128, st.builds(complex, _zero_heavy, _zero_heavy)),
+    (np.float64, st.floats()),
+    (np.complex128, st.complex_numbers(allow_nan=True, allow_infinity=True)),
+]
 _shapes = array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
-_float_arrays = st.one_of(
-    # finite arrays take the formatting fast path; any NaN or inf the scalar path
-    arrays(dtype, _shapes, elements=elements)
-    for dtype, elements in [
-        (np.float64, st.floats(allow_nan=False, allow_infinity=False)),
-        (np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
-        (np.float64, st.floats()),
-        (np.complex128, st.complex_numbers(allow_nan=True, allow_infinity=True)),
-    ]
-)
+_float_arrays = st.one_of(arrays(dtype, _shapes, elements=elements) for dtype, elements in _ELEMENTS)
+# blocks of numbers the writer formats and writes at once: one number, a
+# few, and the default, so a small array spans one chunk or many
+_block_sizes = st.sampled_from([1, 2, 5, system._BLOCK])
+
+
+def streamed(obj, block):
+    """The text dump writes for obj, with blocks of `block` numbers."""
+    out = io.StringIO()
+    with mock.patch.object(system, "_BLOCK", block):
+        dump(obj, out)
+    return out.getvalue()
 
 
 @st.composite
 def _gathers(draw):
     """A RowGather of a finite or non-finite float or complex `rows` (rows of
-    any shape, empty ones too) through an index of up to two axes."""
-    dtype, elements = draw(st.sampled_from([
-        (np.float64, st.floats(allow_nan=False, allow_infinity=False)),
-        (np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
-        (np.float64, st.floats()),
-        (np.complex128, st.complex_numbers(allow_nan=True, allow_infinity=True)),
-    ]))
+    any shape, empty ones too) through an index of up to two axes; an index
+    of more entries than rows repeats some, and one of fewer leaves some
+    unused."""
+    dtype, elements = draw(st.sampled_from(_ELEMENTS))
     count = draw(st.integers(1, 4))
     row_shape = draw(array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
     rows = draw(arrays(dtype, (count, *row_shape), elements=elements))
@@ -335,10 +350,7 @@ def _records(draw):
     columns = {}
     for key in keys:
         dtype, elements = draw(st.sampled_from([
-            (np.float64, st.floats(allow_nan=False, allow_infinity=False)),
-            (np.float64, st.floats()),
-            (np.complex128, st.complex_numbers(allow_nan=False, allow_infinity=False)),
-            (np.complex128, st.complex_numbers(allow_nan=True, allow_infinity=True)),
+            *_ELEMENTS,
             (np.int64, st.integers(-(2**63), 2**63 - 1)),
             (np.bool_, st.booleans()),
         ]))
@@ -357,41 +369,52 @@ _json_values = st.recursive(
 
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
-    @given(obj=_json_values)
-    @example(obj=np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e300]))
-    @example(obj=np.array([[0.0, -0.0j], [5e-324 - 5e-324j, 1e16]]))
-    @example(obj=np.array([np.nan, np.inf, -np.inf, -0.0]))
-    @example(obj=np.array([[1 + 1j, complex(0.0, np.nan)]]))
-    @example(obj={"A": np.zeros((2, 0, 3), dtype=complex), "e": np.array([]), "l": [], "d": {}})
-    @example(obj={"z": np.ones((2, 3, 4)), "n": [None, True, False, -7, "\u00e9\n\""]})
-    def test_matches_stdlib(self, obj):
-        assert dumps(obj) == json.dumps(plain(obj), indent=2)
+    @given(obj=_json_values, block=_block_sizes)
+    @example(obj=np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e300]), block=1)
+    @example(obj=np.array([[0.0, -0.0j], [5e-324 - 5e-324j, 1e16]]), block=5)
+    @example(obj=np.array([np.nan, np.inf, -np.inf, -0.0]), block=1)
+    @example(obj=np.array([[1 + 1j, complex(0.0, np.nan)]]), block=5)
+    @example(obj={"A": np.zeros((2, 0, 3), dtype=complex), "e": np.array([]), "l": [], "d": {}}, block=1)
+    @example(obj={"z": np.ones((2, 3, 4)), "n": [None, True, False, -7, "\u00e9\n\""]}, block=5)
+    @example(obj=np.zeros((1, 1, 1), dtype=complex) * -1, block=1)
+    @example(obj=[np.array([[-0.0, 0.0, 2.5], [0.0, -0.0, 0.0]]), np.eye(3, dtype=complex)], block=5)
+    def test_matches_stdlib(self, obj, block):
+        expected = json.dumps(plain(obj), indent=2)
+        assert dumps(obj) == expected
+        assert streamed(obj, block) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(g=_gathers())
+    @given(g=_gathers(), block=_block_sizes)
     @example(g=RowGather(np.array([[-0.0 - 0.0j, 1 - 0.0j], [complex(-0.0, 2.5), 0j]]),
-                         np.array([[1, 0], [0, 1]])))
-    @example(g=RowGather(np.array([[1.5, -2.0], [3.0, 4.0]]), np.array([[0, 0, 0], [1, 1, 0]])))
-    @example(g=RowGather(np.array([[1.0 + 0j], [-0.5 - 0.0j]]), np.array([[1], [1]])))  # #I = 1
+                         np.array([[1, 0], [0, 1]])), block=1)
+    @example(g=RowGather(np.array([[1.5, -2.0], [3.0, 4.0]]), np.array([[0, 0, 0], [1, 1, 0]])), block=5)
+    @example(g=RowGather(np.array([[1.0 + 0j], [-0.5 - 0.0j]]), np.array([[1], [1]])), block=1)  # #I = 1
     @example(g=RowGather(np.array([[1.0, complex(0.0, np.nan)], [np.inf, -0.0]]),
-                         np.array([[0, 1], [1, 1]])))
-    def test_gather_matches_stdlib(self, g):
+                         np.array([[0, 1], [1, 1]])), block=5)
+    @example(g=RowGather(np.eye(3, dtype=complex), np.array([[1, 2, 2], [2, 2, 1]])), block=2)
+    @example(g=RowGather(np.array([[[-0.0]], [[0.0]]]), np.array([[1, 1], [1, 1]])), block=1)
+    def test_gather_matches_stdlib(self, g, block):
         dense = np.asarray(g.rows[g.index])
-        assert dumps({"A": g, "l": [g]}) == json.dumps(plain({"A": dense, "l": [dense]}), indent=2)
+        expected = json.dumps(plain({"A": dense, "l": [dense]}), indent=2)
+        assert dumps({"A": g, "l": [g]}) == expected
+        assert streamed({"A": g, "l": [g]}, block) == expected
 
     @settings(max_examples=300, deadline=None)
-    @given(r=_records())
+    @given(r=_records(), block=_block_sizes)
     @example(r=Records({"z": np.array([[1 - 0.0j, complex(-0.0, 2)], [np.nan, 1e300j]]),
                         "residual": np.array([1e-17, np.inf]), "real": np.array([True, False]),
-                        "flagged": np.array([False, True])}))
-    @example(r=Records({"alpha": np.array([[2, 0], [1, 1]]), "coeffs": np.ones((2, 3), complex)}))
-    @example(r=Records({"%s": np.array([1.5]), "%": np.array([-0.0]), "%%d": np.array([7])}))
-    @example(r=Records({"eigenvalue": np.zeros(0, complex), "algebraic": np.zeros(0, int)}))
-    def test_records_match_stdlib(self, r):
+                        "flagged": np.array([False, True])}), block=1)
+    @example(r=Records({"alpha": np.array([[2, 0], [1, 1]]), "coeffs": np.ones((2, 3), complex)}), block=5)
+    @example(r=Records({"%s": np.array([1.5]), "%": np.array([-0.0]), "%%d": np.array([7])}), block=1)
+    @example(r=Records({"eigenvalue": np.zeros(0, complex), "algebraic": np.zeros(0, int)}), block=5)
+    @example(r=Records({"alpha": np.array([[3, 0], [2, 1], [1, 2]]),
+                        "coeffs": np.array([[-0.0j, 1, 0], [0, -0.0, 0.5j], [0, 0, 0]])}), block=2)
+    def test_records_match_stdlib(self, r, block):
         # as a list of the dicts that iterating gives, alone and nested
-        assert dumps(r) == json.dumps(plain(list(r)), indent=2)
-        assert dumps({"l": [r, {"r": r}]}) == json.dumps(
-            plain({"l": [list(r), {"r": list(r)}]}), indent=2)
+        assert dumps(r) == streamed(r, block) == json.dumps(plain(list(r)), indent=2)
+        nested = {"l": [r, {"r": r}]}
+        expected = json.dumps(plain({"l": [list(r), {"r": list(r)}]}), indent=2)
+        assert dumps(nested) == streamed(nested, block) == expected
 
     def test_records_iterate_as_dicts(self):
         z = np.array([[1 + 2j, 3.0], [0.5j, -1.0]])
@@ -410,7 +433,9 @@ class TestJsonWriter:
             dumps({"x": {1, 2}})
 
 
-_numbers = st.integers(-(2**80), 2**80) | st.floats(allow_nan=False, allow_infinity=False)
+# ints beyond 2^53 round to the nearest float, and -0.0 keeps its sign
+_numbers = (st.integers(-(2**80), 2**80) | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 2**53 + 1, -(2**53) - 3, 2**63 + 1, -(2**64) - 1]))
 _pairs = st.tuples(_numbers, _numbers).map(list)
 # entries _as_complex refuses: bools, ints beyond the float range,
 # non-finite floats, text, lists that are not pairs, pairs with such a part
@@ -468,6 +493,7 @@ class TestCoefficientRow:
     @example(rows=[[[1, 0], 2], [True, 0.5]])
     @example(rows=[[1, 2**1100], [float("nan"), "x"]])
     @example(rows=[[0.5, 1], [[1, 2], [2, 3]], [3, 4]])
+    @example(rows=[[2**53 + 1, [-0.0, 2**53 + 1]], [-0.0, [2**64 + 1, -0.0]], [[0, 0], -(2**63) - 1]])
     def test_equals_entry_by_entry(self, rows):
         for name, (row_path, read) in _READERS.items():
             if not rows or (name == "coefficients" and (len(rows), len(rows[0])) != (3, 3)):
@@ -508,3 +534,31 @@ class TestCoefficientRow:
         with pytest.raises(SchemaError) as entry:
             _as_complex(json.loads(text)["relations"][0]["coeffs"][bad], path)
         assert info.value.path == path and str(info.value) == str(entry.value)
+
+
+@pytest.mark.parametrize("alpha, path, message", [
+    (5, "relations[1].alpha", "expected an array, got 5"),
+    ([1, True], "relations[1].alpha[1]", "expected an integer >= 0, got True"),
+    ([1, -1], "relations[1].alpha[1]", "expected an integer >= 0, got -1"),
+    ([1.0, 1], "relations[1].alpha[0]", "expected an integer >= 0, got 1.0"),
+    ([1, "1"], "relations[1].alpha[1]", "expected an integer >= 0, got '1'"),
+    ([0, 1], "relations[1].alpha", "alpha [0, 1] inside I"),
+    ([0, 3], "relations[1].alpha", "alpha [0, 3] is not in the border of I"),
+    ([2, 0], "relations[1]", "duplicate relation for alpha [2, 0]"),
+])
+def test_alpha_checked_in_one_pass_names_the_entry(alpha, path, message):
+    # the exponents are checked all at once; a failing one is named as a
+    # check of each entry in turn names it, after the relations before it
+    relations = [{"alpha": a, "coeffs": [0, 1, 0]} for a in _RELATIONS_2]
+    relations[1]["alpha"] = alpha
+    text = json.dumps({"index_set": {"type": "total_degree", "n": 2, "m": 1},
+                       "relations": relations})
+    with pytest.raises(SchemaError) as info:
+        parse_system(text)
+    assert (info.value.path, str(info.value)) == (path, f"{path}: {message}")
+    # an earlier relation's error comes first
+    relations[0]["coeffs"] = [0, 1]
+    with pytest.raises(SchemaError, match="coefficient row has length 2") as info:
+        parse_system(json.dumps({"index_set": {"type": "total_degree", "n": 2, "m": 1},
+                                 "relations": relations}))
+    assert info.value.path == "relations[0].coeffs"
