@@ -8,6 +8,7 @@ exactly those nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,6 @@ class PoisednessReport:
     tolerance_used: float
 
     def to_json(self):
-        import math
-
         return {
             "smallest_singular_value": self.smallest_singular_value,
             "largest_singular_value": self.largest_singular_value,

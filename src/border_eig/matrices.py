@@ -1,4 +1,4 @@
-"""Multiplication matrices for the coordinate functions, and commutation checks.
+"""Multiplication matrices for the coordinate functions, and the commutation check.
 
 A_i represents multiplication by x_i on span{x^beta : beta in I}, with any
 product landing outside I rewritten through the border relations.  Row
@@ -7,9 +7,11 @@ stays in I, else the coefficient row of the relation for beta + e_i.  So
 every A_i is a gather from the #I + #J normal forms [Id; coeffs] of the
 monomials of I and J, and the family is kept as those normal forms plus
 one shift table; no A_i is stored.  Products follow the same way: row r
-of A_i A_j is row shifts[i, r] of normal_forms @ A_j = [A_j; coeffs @ A_j]
-(the commutation condition of Mourrain 1999 and of Kehrein & Kreuzer 2005,
-as gathers), so only A_i's coefficient rows are multiplied.
+of A_i X is row shifts[i, r] of normal_forms @ X = [X; coeffs @ X], so
+only A_i's coefficient rows are multiplied.  The family commutes (Mourrain
+1999; Kehrein & Kreuzer 2005) iff [A_i, M(c)] = 0 for every i and every c,
+M(c) = sum c_i A_i; as that is linear in c, n commutators against one
+generic M (see spectral.criterion) stand for the n(n-1)/2 pairs.
 """
 
 from __future__ import annotations
@@ -83,36 +85,33 @@ def build_family(sys: BorderSystem, dtype=None) -> MultMatrixFamily:
     return MultMatrixFamily(normal_forms, sys.J.up)
 
 
-def commutation_report(fam: MultMatrixFamily, tol: float) -> CommutationReport:
-    """Pairwise commutator defects ||A_i A_j - A_j A_i||_F, normalized by
-    ||A_i||_F ||A_j||_F with floor 1.
+def commutation_report(fam: MultMatrixFamily, M: np.ndarray, tol: float) -> CommutationReport:
+    """Defects ||A_i M - M A_i||_F / max(1, ||A_i||_F ||M||_F), one per A_i,
+    against a generic combination M of the family (module docstring).
 
-    Each pair forms its two products as gathers (module docstring) and
-    multiplies only the coefficient rows it needs, so it holds a few
-    #I x #I arrays at a time; no A_i outlives its pair.
+    Each commutator multiplies only A_i's coefficient rows, in A_i M and in
+    M A_i, so it holds a few #I x #I arrays at a time.
     """
     nf, shifts = fam.normal_forms, fam.shifts
-    n = len(fam)
-    units = shifts < fam.size
     norms = np.array([np.linalg.norm(nf[index]) for index in shifts])
-    defects = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            num = np.linalg.norm(_product(nf, shifts[i], units[i], shifts[j])
-                                 - _product(nf, shifts[j], units[j], shifts[i]))
-            defects[i, j] = defects[j, i] = num / max(1.0, norms[i] * norms[j])
-    max_defect = float(defects.max()) if n else 0.0
+    scale = np.linalg.norm(M)
+    defects = np.empty(len(fam))
+    for i, (index, unit) in enumerate(zip(shifts, shifts < fam.size)):
+        C = _product(nf, index, unit, M)
+        C -= M[:, ~unit] @ nf[index[~unit]]
+        C[:, index[unit]] -= M[:, unit]  # distinct columns: M A_i on the unit rows
+        defects[i] = np.linalg.norm(C) / max(1.0, norms[i] * scale)
+    max_defect = float(defects.max(initial=0.0))
     return CommutationReport(defects, max_defect, tol, max_defect <= tol, norms)
 
 
-def _product(nf: np.ndarray, left: np.ndarray, unit: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """A_i A_j for A_i = nf[left] and A_j = nf[right], where unit = left < #I.
+def _product(nf: np.ndarray, left: np.ndarray, unit: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A_i X for A_i = nf[left], where unit = left < #I.
 
-    Row r is row left[r] of [A_j; coeffs @ A_j]: a row of A_j where A_i has
-    a unit row, else A_i's coefficient row times A_j.
+    Row r is row left[r] of [X; coeffs @ X]: a row of X where A_i has a
+    unit row, else A_i's coefficient row times X.
     """
-    Aj = nf[right]
-    out = np.empty_like(Aj)
-    out[unit] = Aj[left[unit]]
-    out[~unit] = nf[left[~unit]] @ Aj
+    out = np.empty_like(X)
+    out[unit] = X[left[unit]]
+    out[~unit] = nf[left[~unit]] @ X
     return out

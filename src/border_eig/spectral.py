@@ -234,25 +234,26 @@ def criterion(fam: MultMatrixFamily, cfg: Config = Config()) -> Verdict:
 
         |lambda_j - lambda_k| > bound_j + bound_k    for all j != k.
 
-    A singular V, or a non-finite Y, leaves the spectrum not simple.  For a
-    commuting family a simple spectrum is exactly "every A_i semisimple
-    with #I joint eigenvalues": each A_i is then a polynomial in M.  On a
-    simple spectrum the coordinates of root k are the two-sided Rayleigh
-    quotients Z[k, i] = (Y A_i V)[k, k]; otherwise Y is not trusted and the
-    one-sided quotients v_k^H A_i v_k stand in.  A real family gives a real
-    M and a Y exact in its conjugate structure (`_eigenbasis_inverse`), so
-    a real eigenvalue's coordinates have imaginary part exactly 0 and a
-    conjugate pair's are exact conjugates.  An M that overflows raises
-    EigenConvergenceError.
+    A singular V, or a non-finite Y, leaves the spectrum not simple.  The
+    seeded c is taken as generic: then the family commutes iff every A_i
+    commutes with M (see matrices), and for a commuting family a simple
+    spectrum is exactly "every A_i semisimple with #I joint eigenvalues",
+    each A_i being a polynomial in M.  On a simple spectrum the coordinates
+    of root k are the two-sided Rayleigh quotients Z[k, i] = (Y A_i V)[k, k];
+    otherwise Y is not trusted and the one-sided quotients v_k^H A_i v_k
+    stand in.  A real family gives a real M and a Y exact in its conjugate
+    structure (`_eigenbasis_inverse`), so a real eigenvalue's coordinates
+    have imaginary part exactly 0 and a conjugate pair's are exact
+    conjugates.  An M that overflows raises EigenConvergenceError.
     """
     c = np.random.default_rng(cfg.seed).normal(size=len(fam))
     c /= np.linalg.norm(c)
     nf = fam.normal_forms
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves M non-finite
-        comm = commutation_report(fam, cfg.tol_commute)
         M = np.zeros((fam.size, fam.size), dtype=nf.dtype)
         for ci, index in zip(c, fam.shifts):
             M += ci * nf[index]
+        comm = commutation_report(fam, M, cfg.tol_commute)
     dec = eigen(M)
     V = dec.eigenvectors
     with np.errstate(all="ignore"):

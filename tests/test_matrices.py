@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from border_eig import (
     BorderSystem,
+    Config,
     UnisolvenceError,
     border,
     build_family,
@@ -15,9 +17,12 @@ from border_eig import (
     criterion,
     monomial_eval,
     residual,
+    serialize_system,
     system_from_nodes,
     total_degree_set,
+    validate_lower_set,
 )
+from border_eig.cli import main
 from conftest import random_lower_set, random_separated_nodes
 
 EPS = np.finfo(float).eps
@@ -27,6 +32,39 @@ def univariate(coeff_row):
     m = len(coeff_row) - 1
     I = total_degree_set(1, m)
     return BorderSystem(I, border(I), np.array([coeff_row], dtype=complex))
+
+
+def seeded_c(n):
+    """criterion's unit-length c, drawn under the default seed."""
+    c = np.random.default_rng(Config().seed).normal(size=n)
+    return c / np.linalg.norm(c)
+
+
+def seeded_combination(fam):
+    """criterion's M = sum c_i A_i, from the dense A_i."""
+    return sum(ci * A for ci, A in zip(seeded_c(len(fam)), fam.normal_forms[fam.shifts]))
+
+
+def report(fam, tol=1e-8):
+    return commutation_report(fam, seeded_combination(fam), tol)
+
+
+def assert_defects_match_dense(fam, M, rep):
+    """Each defect against the dense ||A_i M - M A_i||_F, to a few ulps of the
+    products' scale, in the commutator and in the norms."""
+    assert rep.defects.shape == (len(fam),)
+    for defect, A in zip(rep.defects, fam.normal_forms[fam.shifts]):
+        scale = np.linalg.norm(A) * np.linalg.norm(M)
+        dense = np.linalg.norm(A @ M - M @ A)
+        assert abs(defect * max(1.0, scale) - dense) <= 64 * EPS * scale
+
+
+def pairwise_defect(fam):
+    """The pairwise oracle: max ||A_i A_j - A_j A_i||_F / max(1, ||A_i||_F ||A_j||_F)."""
+    A = fam.normal_forms[fam.shifts]
+    return max((np.linalg.norm(A[i] @ A[j] - A[j] @ A[i])
+                / max(1.0, np.linalg.norm(A[i]) * np.linalg.norm(A[j]))
+                for i in range(len(A)) for j in range(i + 1, len(A))), default=0.0)
 
 
 def noncommuting_system():
@@ -211,24 +249,76 @@ class TestCompanionDegeneration:
 
 class TestCommutation:
     def test_single_matrix_trivial(self):
-        fam = build_family(univariate([1.0, 0.0]))
-        rep = commutation_report(fam, 1e-8)
-        assert rep.commuting
-        assert rep.max_defect == 0.0
+        # n = 1: M = +-A_1, whose commutator with A_1 is rounding alone
+        for row in ([1.0, 0.0], [0.75, -0.25, 2.0, 1.5, -3.0]):
+            rep = report(build_family(univariate(row)))
+            assert rep.defects.shape == (1,)
+            assert rep.defects[0] <= 64 * EPS
+            assert rep.commuting
 
     def test_idempotent_commutes(self, idempotent_system):
-        rep = commutation_report(build_family(idempotent_system), 1e-8)
+        rep = report(build_family(idempotent_system))
         assert rep.commuting
         assert rep.max_defect <= 1e-14
 
     def test_noncommuting_defect_value(self):
         fam = build_family(noncommuting_system())
-        rep = commutation_report(fam, 1e-8)
+        M = seeded_combination(fam)
+        rep = commutation_report(fam, M, 1e-8)
         assert not rep.commuting
-        # commutator is E23 - E32: Frobenius norm sqrt(2), scale ||A1|| ||A2|| = 2
-        assert rep.max_defect == pytest.approx(math.sqrt(2) / 2)
-        assert rep.defects[0, 1] == rep.defects[1, 0]
-        assert rep.defects[0, 0] == 0.0
+        assert_defects_match_dense(fam, M, rep)
+        # [A_1, M] = c_2 [A_1, A_2] and [A_1, A_2] = E23 - E32 (norm sqrt(2));
+        # ||A_1|| = ||A_2|| = ||M|| = sqrt(2) for unit c, so defect i is |c_j| / sqrt(2)
+        assert math.hypot(*rep.defects) == pytest.approx(1 / math.sqrt(2))
+        assert rep.max_defect == max(rep.defects)
+
+    def test_nonsimple_combination_of_noncommuting_pair(self, tmp_path, capsys):
+        """A_y = (N - c_1 A_x) / c_2 puts M = N, a Jordan block, so M is not
+        simple; the family does not commute, and both A_i fail against M."""
+        I = validate_lower_set([(0, 0), (1, 0)], 2)
+        J = border(I)
+        c = seeded_c(2)
+        Ax = np.array([[0.0, 1.0], [-1.0, 2.0]])
+        Ay = (np.array([[1.0, 1.0], [0.0, 1.0]]) - c[0] * Ax) / c[1]
+        coeffs = np.zeros((len(J), 2), dtype=complex)
+        coeffs[J.position[(2, 0)]] = Ax[1]  # x * x
+        coeffs[J.position[(0, 1)]] = Ay[0]  # y * 1
+        coeffs[J.position[(1, 1)]] = Ay[1]  # y * x
+        s = BorderSystem(I, J, coeffs)
+        fam = build_family(s)
+        assert pairwise_defect(fam) > 0.1
+        v = criterion(fam)
+        assert v.separation <= 1.0
+        assert not v.commuting and not v.maximal
+        assert v.commutation.defects.shape == (2,)
+        assert np.all(v.commutation.defects > Config().tol_commute)
+        path = tmp_path / "jordan.json"
+        path.write_bytes(serialize_system(s))
+        assert main(["check", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["commutation"]["commuting"] is False
+
+
+def perturbed(s, delta, rng):
+    """s with every coefficient scaled by 1 + delta * N(0, 1)."""
+    return BorderSystem(s.I, s.J, s.coeffs * (1.0 + delta * rng.normal(size=s.coeffs.shape)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 4), steps=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_commuting_matches_pairwise_oracle(n, steps, seed):
+    """Against M, the verdict is the pairwise one: on a system synthesized
+    from nodes, which commutes, and on it perturbed by a relative 1e-5."""
+    rng = np.random.default_rng(seed)
+    I = random_lower_set(n, steps, rng)
+    try:
+        s = system_from_nodes(I, rng.normal(size=(len(I), n)))
+    except UnisolvenceError:
+        assume(False)
+    tol = Config().tol_commute
+    for delta in (0.0, 1e-5):
+        fam = build_family(perturbed(s, delta, rng))
+        assert report(fam, tol).commuting == (pairwise_defect(fam) <= tol)
 
 
 def random_system(n, m, seed, dtype):
@@ -261,20 +351,15 @@ class TestGatheredProducts:
     def test_norms_match_dense(self, make, dtype):
         fam = build_family(make(3, 3, 5, dtype))
         dense = [np.linalg.norm(A) for A in fam.normal_forms[fam.shifts]]
-        assert np.array_equal(commutation_report(fam, 1e-8).norms, dense)
+        assert np.array_equal(report(fam).norms, dense)
 
     @product_cases
     def test_defects_match_dense(self, make, dtype):
         fam = build_family(make(3, 3, 5, dtype))
         assert fam.normal_forms.dtype == np.dtype(dtype)
-        rep = commutation_report(fam, 1e-8)
-        A = [fam.normal_forms[index] for index in fam.shifts]
-        for i in range(3):
-            for j in range(3):
-                scale = np.linalg.norm(A[i]) * np.linalg.norm(A[j])
-                dense = np.linalg.norm(A[i] @ A[j] - A[j] @ A[i])
-                # a few ulps of the products' scale, in the commutator and in the norms
-                assert abs(rep.defects[i, j] * max(1.0, scale) - dense) <= 64 * EPS * scale
+        M = seeded_combination(fam)
+        rep = commutation_report(fam, M, 1e-8)
+        assert_defects_match_dense(fam, M, rep)
         assert rep.commuting == (make is commuting_system)
 
     @product_cases
@@ -300,24 +385,20 @@ class TestGatheredProducts:
         assert v.extraction_residual == pytest.approx(extraction, rel=1e-6, abs=1e-12)
 
     def test_products_hold_a_few_square_matrices_at_a_time(self):
-        # n=60, m=1: #J = 1830 is 30 times #I = 61, so the n products
-        # coeffs @ A_j held together would take 1830 squares (54 MB); the
-        # dense family is 60 squares
+        # n=60, m=1: #J = 1830 is 30 times #I = 61, so the full product
+        # coeffs @ M would take 30 squares and the dense family 60; each
+        # commutator multiplies only A_i's coefficient rows
         fam = build_family(random_system(60, 1, 5, float))
         square = fam.size**2 * fam.normal_forms.itemsize
+        M = seeded_combination(fam)
         tracemalloc.start()
         try:
-            rep = commutation_report(fam, 1e-8)
+            rep = commutation_report(fam, M, 1e-8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * square
-        A = fam.normal_forms[fam.shifts[0]]
-        for j in range(1, 60):
-            B = fam.normal_forms[fam.shifts[j]]
-            scale = np.linalg.norm(A) * np.linalg.norm(B)
-            dense = np.linalg.norm(A @ B - B @ A)
-            assert abs(rep.defects[0, j] * scale - dense) <= 64 * EPS * scale
+        assert_defects_match_dense(fam, M, rep)
 
     def test_family_is_normal_forms_and_shifts(self):
         s = commuting_system(3, 3, 5, complex)
