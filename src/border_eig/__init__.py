@@ -23,7 +23,6 @@ from .system import (
     monomial_eval,
     parse_system,
     residual,
-    serialize_system,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "monomial_eval",
     "parse_system",
     "residual",
-    "serialize_system",
     "solve",
     "system_from_nodes",
     "total_degree_set",

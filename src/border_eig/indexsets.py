@@ -2,9 +2,10 @@
 
 A multi-index is a tuple of nonnegative integers (an exponent vector).
 A lower set is a finite, downward-closed collection of multi-indices kept
-in graded lexicographic order: sort by total degree first, ties broken so
-that a larger first coordinate comes earlier.  This fixed order gives every
-matrix built on top of an index set a deterministic row/column layout.
+in graded lexicographic order: sort by total degree first, ties in
+descending tuple order, so that a larger first coordinate comes earlier.
+This fixed order gives every matrix built on top of an index set a
+deterministic row/column layout.
 """
 
 from __future__ import annotations
@@ -39,15 +40,6 @@ def _as_int(value, path, minimum=0) -> int:
     return value
 
 
-def grlex_key(alpha: MultiIndex):
-    """Sort key for graded lex order with the first coordinate dominant."""
-    return (sum(alpha), tuple(-a for a in alpha))
-
-
-def total_degree(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
 def add_unit(alpha: MultiIndex, i: int) -> MultiIndex:
     """alpha + e_i (0-based coordinate)."""
     return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
@@ -56,6 +48,14 @@ def add_unit(alpha: MultiIndex, i: int) -> MultiIndex:
 def sub_unit(alpha: MultiIndex, i: int) -> MultiIndex:
     """alpha - e_i (0-based coordinate); caller ensures alpha[i] > 0."""
     return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+
+
+def _canonical(members) -> list[MultiIndex]:
+    """The multi-indices in canonical order: a stable sort by total degree
+    of the descending tuple order."""
+    ordered = sorted(members, reverse=True)
+    ordered.sort(key=sum)
+    return ordered
 
 
 @dataclass
@@ -92,7 +92,7 @@ class LowerSet(_IndexedSet):
         return self.dimension == other.dimension and self.members == other.members
 
     def max_degree(self) -> int:
-        return max(total_degree(a) for a in self.members)
+        return max(map(sum, self.members))
 
     def is_total_degree(self) -> bool:
         """True when the set equals {alpha : |alpha| <= m} for its max degree m."""
@@ -115,14 +115,13 @@ class BorderSet(_IndexedSet):
 
     The lower set's members followed by the border's are the monomial stack
     of a border system, the row order of its normal forms [Id; coeffs].
-    The tables below index that stack and are built on first use.
+    up indexes that stack and is built with the border; stack and down are
+    built on first use.
     """
 
     lower: LowerSet = field(repr=False, compare=False)
-
-    def _stack_rows(self) -> dict[MultiIndex, int]:
-        size = len(self.lower)
-        return {**self.lower.position, **{a: size + r for a, r in self.position.items()}}
+    # (n, #I): up[i, r] is the stack row of beta_r + e_i for beta_r in I
+    up: np.ndarray = field(repr=False, compare=False)
 
     @functools.cached_property
     def stack(self) -> np.ndarray:
@@ -130,13 +129,6 @@ class BorderSet(_IndexedSet):
         E = np.concatenate([self.lower.exponents, self.exponents])
         E.flags.writeable = False
         return E
-
-    @functools.cached_property
-    def up(self) -> np.ndarray:
-        """(n, #I): up[i, r] is the stack row of beta_r + e_i for beta_r in I."""
-        row = self._stack_rows()
-        return np.array([[row[add_unit(b, i)] for b in self.lower] for i in range(self.dimension)],
-                        dtype=np.intp)
 
     @functools.cached_property
     def down(self) -> np.ndarray:
@@ -178,7 +170,8 @@ def total_degree_set(n: int, m: int) -> LowerSet:
 
     Cardinality is binomial(n+m, n), admitted (see ADMISSION_BUDGET) before
     any enumeration.  Each degree slice grows from the one before by adding
-    every unit vector.
+    every unit vector; within one degree, canonical order is descending
+    tuple order.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
@@ -192,7 +185,7 @@ def total_degree_set(n: int, m: int) -> LowerSet:
     last = [(0,) * n]
     members = list(last)
     for _ in range(m):
-        last = sorted({add_unit(a, i) for a in last for i in range(n)}, key=grlex_key)
+        last = sorted({add_unit(a, i) for a in last for i in range(n)}, reverse=True)
         members += last
     return LowerSet(n, members, {a: k for k, a in enumerate(members)})
 
@@ -225,25 +218,26 @@ def validate_lower_set(candidates, n: int) -> LowerSet:
                 raise LowerSetError(
                     f"not downward closed: {alpha} present but {sub_unit(alpha, i)} missing"
                 )
-    members.sort(key=grlex_key)
+    members = _canonical(members)
     return LowerSet(n, members, {a: k for k, a in enumerate(members)})
 
 
 def border(I: LowerSet) -> BorderSet:
-    """The border {beta + e_i : beta in I, beta + e_i not in I}.
+    """The border {beta + e_i : beta in I, beta + e_i not in I}, with its up table.
 
-    For a total-degree set of degree m this is exactly {alpha : |alpha| = m+1}.
+    Every beta + e_i is listed once: the border is what of that list lies
+    outside I, and the list, read as stack rows, is up.  For a total-degree
+    set of degree m the border is exactly {alpha : |alpha| = m+1}.
     """
     if len(I) == 0:
         raise ValueError("lower set is empty")
-    found = set()
-    for beta in I.members:
-        for i in range(I.dimension):
-            alpha = add_unit(beta, i)
-            if alpha not in I:
-                found.add(alpha)
-    members = sorted(found, key=grlex_key)
-    return BorderSet(I.dimension, members, {a: k for k, a in enumerate(members)}, I)
+    n, size = I.dimension, len(I)
+    shifted = [add_unit(beta, i) for i in range(n) for beta in I.members]
+    members = _canonical(set(shifted).difference(I.position))
+    position = {a: k for k, a in enumerate(members)}
+    row = {**I.position, **{a: size + k for a, k in position.items()}}
+    up = np.array([row[a] for a in shifted], dtype=np.intp).reshape(n, size)
+    return BorderSet(n, members, position, I, up)
 
 
 def index_set_from_json(obj) -> LowerSet:

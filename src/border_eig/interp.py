@@ -9,6 +9,7 @@ exactly those nodes.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,13 @@ def _sigma_test(V: np.ndarray, tol: float) -> PoisednessReport:
     """Singular-value test of the Vandermonde matrix V.
 
     Poised iff sigma_min > tol * sigma_max; the relative cut separates true
-    rank deficiency from mere ill-conditioning.
+    rank deficiency from mere ill-conditioning.  sigma_min = 0 is never
+    poised, whatever the tolerance.
     """
     s = np.linalg.svd(V, compute_uv=False)
     smax, smin = float(s[0]), float(s[-1])
-    poised = smin > tol * smax
-    cond = smax / smin if poised and smin > 0 else np.inf
+    poised = smin > max(tol * smax, 0.0)
+    cond = smax / smin if poised else np.inf
     return PoisednessReport(smin, smax, float(cond), poised, tol)
 
 
@@ -58,7 +60,9 @@ def system_from_nodes(I: LowerSet, nodes, tol: float = 1e-10) -> BorderSystem:
     Vandermonde matrix V, its first #I columns, and every border monomial's
     values, which are interpolated over I with one LU factorization of V.
     Raises UnisolvenceError, carrying the poisedness report of V, when the
-    nodes are not poised; a system built carries that report too.
+    nodes are not poised or the interpolation is not finite (a V singular
+    to working precision that the cut let through); a system built carries
+    that report too.
     """
     Z = np.asarray(nodes, dtype=complex)
     if Z.shape != (len(I), I.dimension):
@@ -71,7 +75,12 @@ def system_from_nodes(I: LowerSet, nodes, tol: float = 1e-10) -> BorderSystem:
     report = _sigma_test(V, tol)
     if not report.poised:
         raise UnisolvenceError("node set is not poised for this lower set", report)
-    coeffs = scipy.linalg.lu_solve(scipy.linalg.lu_factor(V), values[:, len(I):]).T
+    with warnings.catch_warnings():  # an exact zero pivot is reported below, not on stderr
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        coeffs = scipy.linalg.lu_solve(scipy.linalg.lu_factor(V), values[:, len(I):]).T
+    if not np.all(np.isfinite(coeffs)):
+        report.poised, report.condition = False, np.inf
+        raise UnisolvenceError("node set is singular to working precision for this lower set", report)
     return BorderSystem(I, J, coeffs, poisedness=report)
 
 

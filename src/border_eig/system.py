@@ -520,7 +520,3 @@ def system_to_json(sys: BorderSystem) -> dict:
         "basis": sys.I.exponents,
         "relations": Records({"alpha": sys.J.exponents, "coeffs": sys.coeffs}),
     }
-
-
-def serialize_system(sys: BorderSystem) -> bytes:
-    return dumps(system_to_json(sys)).encode()

@@ -3,7 +3,19 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from border_eig import LowerSet, border, system_from_nodes, total_degree_set
-from border_eig.indexsets import grlex_key, sub_unit
+from border_eig.indexsets import sub_unit
+from border_eig.system import dumps, system_to_json
+
+
+def grlex_key(alpha):
+    """The canonical order's sort key, as the tests' reference: total degree
+    first, then a larger first coordinate earlier."""
+    return (sum(alpha), tuple(-a for a in alpha))
+
+
+def serialize_system(s):
+    """A system's JSON text, as bytes."""
+    return dumps(system_to_json(s)).encode()
 
 
 def random_separated_nodes(rng, n, count, sep=1e-2, box=1.0):

@@ -17,7 +17,6 @@ from border_eig import (
     border,
     build_family,
     parse_system,
-    serialize_system,
     solve,
     system_from_nodes,
     total_degree_set,
@@ -25,7 +24,7 @@ from border_eig import (
 )
 from border_eig.system import BorderSystem
 
-from conftest import matching_error, random_separated_nodes
+from conftest import matching_error, random_separated_nodes, serialize_system
 
 
 def report(num, ok, desc):

@@ -9,9 +9,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from border_eig import Config, serialize_system, system_from_nodes, total_degree_set
+from border_eig import Config, system_from_nodes, total_degree_set
 from border_eig import cli
 from border_eig.cli import _config_from_args, build_parser, main
+from conftest import serialize_system
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +271,22 @@ class TestFromPoints:
             str(pts),
         )
         assert code == 1
+
+    # two equal nodes with the poisedness cut off: sigma_min reads exactly 0
+    # for the first set, 2.6e-16 for the second, whose LU meets a zero pivot
+    @pytest.mark.parametrize("points", ["[[0, 0], [0, 0], [1, 1]]", "[[1, 2], [1, 2], [3, 4]]"])
+    def test_singular_nodes_past_the_cut_exit_one(self, capsys, recwarn, tmp_path, points):
+        pts = tmp_path / "pts.json"
+        pts.write_text(f'{{"n": 2, "points": {points}}}')
+        code, out, err = run_cli(capsys, "from-points", "--index-set",
+                                 '{"type": "total_degree", "n": 2, "m": 1}', "--points", str(pts),
+                                 "--tol-poised", "-1")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["error"] == "UnisolvenceError"
+        assert obj["poisedness"]["poised"] is False
+        assert err == ""
+        assert not recwarn.list
 
     def test_pipes_into_solve(self, capsys, tmp_path):
         pts = tmp_path / "pts.json"

@@ -13,8 +13,8 @@ from border_eig import (
     total_degree_set,
     validate_lower_set,
 )
-from border_eig.indexsets import ADMISSION_BUDGET, grlex_key, index_set_from_json, sub_unit
-from conftest import random_lower_set
+from border_eig.indexsets import ADMISSION_BUDGET, add_unit, index_set_from_json, sub_unit
+from conftest import grlex_key, random_lower_set
 
 
 def brute_total_degree(n, m):
@@ -145,8 +145,10 @@ def test_random_lower_set_properties(n, steps, seed):
     rng = np.random.default_rng(seed)
     I = random_lower_set(n, steps, rng)
     # closure holds by construction and survives validation
-    validate_lower_set(I.members, n)
+    shuffled = [I.members[k] for k in rng.permutation(len(I))]
+    assert validate_lower_set(shuffled, n).members == sorted(I.members, key=grlex_key)
     J = border(I)
+    assert J.members == sorted(J.members, key=grlex_key)
     assert not set(J.members) & set(I.members)
     # the union is again downward closed
     validate_lower_set(I.members + J.members, n)
@@ -160,14 +162,16 @@ def test_index_set_json_round_trip():
 
 
 def test_down_table_equals_lookup_per_entry():
-    # down is read off up except for its J -> J entries; each entry is the
-    # stack row of alpha - e_j, as one lookup per entry finds it
+    # up[i, r] is the stack row of beta_r + e_i, and down is read off up
+    # except for its J -> J entries, which only explicit sets like these
+    # reach; each entry is the stack row one lookup per entry finds
     rng = np.random.default_rng(23)
     for _ in range(60):
         n = int(rng.integers(1, 5))
         I = random_lower_set(n, int(rng.integers(0, 25)), rng)
         J = border(I)
         row = {a: s for s, a in enumerate(I.members + J.members)}
+        assert J.up.tolist() == [[row[add_unit(b, i)] for b in I.members] for i in range(n)]
         expected = [[row[sub_unit(a, j)] if a[j] else 0 for a in I.members + J.members]
                     for j in range(n)]
         assert J.down.tolist() == expected

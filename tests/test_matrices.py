@@ -17,13 +17,12 @@ from border_eig import (
     criterion,
     monomial_eval,
     residual,
-    serialize_system,
     system_from_nodes,
     total_degree_set,
     validate_lower_set,
 )
 from border_eig.cli import main
-from conftest import random_lower_set, random_separated_nodes
+from conftest import random_lower_set, random_separated_nodes, serialize_system
 
 EPS = np.finfo(float).eps
 

@@ -573,6 +573,17 @@ class TestSolve:
             assert not sol.verdict.maximal
             assert sol.distinct_count < len(s.I)
 
+    @pytest.mark.parametrize("scale", [
+        pytest.param(1e-3, marks=pytest.mark.xfail(
+            strict=True, reason="_dedup's floor 1 + max|z| merges the triple root into 2s")),
+        1e-2,
+        1.0,
+    ])
+    def test_triple_root_distinct_at_scale(self, scale):
+        # (x - s)^3 (x + s) (x - 2s) has 3 distinct roots at every scale s
+        s = univariate(list(-np.poly(scale * np.array([1, 1, 1, -1, 2]))[1:][::-1]))
+        assert solve(s).distinct_count == 3
+
 
 class TestSpectralPass:
     """check and solve eigendecompose one generic combination, once."""

@@ -17,7 +17,6 @@ from border_eig import (
     monomial_eval,
     parse_system,
     residual,
-    serialize_system,
     system_from_nodes,
     total_degree_set,
 )
@@ -34,7 +33,7 @@ from border_eig.system import (
     relation_jacobian,
     relation_values,
 )
-from conftest import random_lower_set
+from conftest import random_lower_set, serialize_system
 
 
 def univariate(coeff_row):
